@@ -5,11 +5,16 @@
 //! * `checkpoint/write_atomic_64` — the full atomic persist (temp file +
 //!   fsync + rename) of the same checkpoint;
 //! * `checkpoint/decode_validate_64` — load + checksum + fingerprint check;
-//! * `sweep/plain_16` vs `sweep/checkpointed_16` — a 16-trial DISTILL sweep
-//!   without checkpointing against the same sweep writing a checkpoint after
-//!   every completion (the worst-case cadence). The gap between the two is
-//!   the total crash-safety tax, reported as
-//!   `checkpoint_overhead_frac` (fraction of sweep wall time);
+//! * `checkpoint/append_frame_8` — one cadence point of a durable sweep at
+//!   the default cadence: encode a frame of 8 results, append it to the
+//!   open log, fsync;
+//! * `sweep/plain_256` vs `sweep/checkpointed_256` — a 256-trial DISTILL
+//!   sweep without checkpointing against the same sweep appending a frame
+//!   after every completion (the worst-case cadence). The gap between the
+//!   two is the total crash-safety tax, reported as
+//!   `checkpoint_overhead_frac` (fraction of sweep wall time); at 256
+//!   trials a tax that grew faster than linearly in the trial count would
+//!   dominate it;
 //! * `resume_equivalence_ok` — a *correctness* value, not a timing: 1.0 iff
 //!   a sweep stopped after 5 of 16 trials and resumed from its checkpoint
 //!   reproduces the uninterrupted result set bit-for-bit.
@@ -19,7 +24,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use distill_core::{Distill, DistillParams};
 use distill_harness::checkpoint::encode_sim_result;
-use distill_harness::{run_sweep, Checkpoint, SweepConfig, TrialSpec, Writer};
+use distill_harness::{run_sweep, Checkpoint, CheckpointLog, SweepConfig, TrialSpec, Writer};
 use distill_sim::{Engine, NullAdversary, SimConfig, SimResult, StopRule, World};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -120,11 +125,19 @@ fn bench_checkpoint_io(c: &mut Criterion) {
         })
     });
     std::fs::remove_file(&path).ok();
+
+    let frame: Vec<(u64, &SimResult)> = ck.completed[..8].iter().map(|(t, r)| (*t, r)).collect();
+    let log_path = tmp("append.ckpt");
+    let mut log = CheckpointLog::create(&log_path, ck.fingerprint, ck.total_trials);
+    group.bench_function("append_frame_8", |b| {
+        b.iter(|| log.append(&frame).expect("append"))
+    });
+    std::fs::remove_file(&log_path).ok();
     group.finish();
 }
 
 fn bench_sweep_overhead(c: &mut Criterion) {
-    let trials = 16u64;
+    let trials = 256u64;
     let ckpt = tmp("overhead.ckpt");
     {
         let mut group = c.benchmark_group("sweep");
@@ -132,7 +145,7 @@ fn bench_sweep_overhead(c: &mut Criterion) {
 
         let mut plain_cfg = SweepConfig::new(trials);
         plain_cfg.threads = 2;
-        group.bench_function("plain_16", |b| {
+        group.bench_function("plain_256", |b| {
             b.iter(|| run_sweep(spec(), &plain_cfg).expect("plain sweep"))
         });
 
@@ -140,7 +153,7 @@ fn bench_sweep_overhead(c: &mut Criterion) {
         ck_cfg.threads = 2;
         ck_cfg.checkpoint = Some(ckpt.clone());
         ck_cfg.checkpoint_every = 1; // worst-case cadence: persist every trial
-        group.bench_function("checkpointed_16", |b| {
+        group.bench_function("checkpointed_256", |b| {
             b.iter(|| {
                 std::fs::remove_file(&ckpt).ok();
                 run_sweep(spec(), &ck_cfg).expect("checkpointed sweep")
@@ -153,8 +166,8 @@ fn bench_sweep_overhead(c: &mut Criterion) {
     // The crash-safety tax as a fraction of sweep wall time, from the two
     // measurements above.
     let mean = |c: &Criterion, id: &str| c.results().iter().find(|r| r.id == id).map(|r| r.mean_ns);
-    let plain = mean(c, "sweep/plain_16");
-    let checkpointed = mean(c, "sweep/checkpointed_16");
+    let plain = mean(c, "sweep/plain_256");
+    let checkpointed = mean(c, "sweep/checkpointed_256");
     if let (Some(plain), Some(checkpointed)) = (plain, checkpointed) {
         if plain > 0.0 {
             let mut group = c.benchmark_group("sweep");

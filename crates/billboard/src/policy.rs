@@ -4,7 +4,6 @@ use std::fmt;
 
 /// How a player's posts are turned into votes by honest readers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum VoteMode {
     /// Search **with local testing** (§2.2, §4): a vote is a positive report,
     /// and only the first `f` positive reports of each player count. Votes are
@@ -46,7 +45,6 @@ impl fmt::Display for VoteMode {
 /// assert_eq!(p.votes_per_player, 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VotePolicy {
     /// Maximum number of votes counted per player (`f` in §4.1). Must be ≥ 1.
     pub votes_per_player: usize,

@@ -11,7 +11,6 @@ use std::fmt;
 /// post the value of every object they probe (§2.1) — they just never count
 /// as votes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ReportKind {
     /// "I probed this object and it is good" — a candidate vote.
     Positive,
@@ -34,7 +33,6 @@ impl fmt::Display for ReportKind {
 /// guarantees (§2.1). The reported `value` is *whatever the author claims*:
 /// honest players report true probe values, Byzantine players may lie.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Post {
     /// Position in the append-only log; strictly increasing.
     pub seq: Seq,

@@ -8,7 +8,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// One of a player's currently-counted votes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VoteRecord {
     /// The object voted for.
     pub object: ObjectId,
@@ -26,7 +25,6 @@ pub struct VoteRecord {
 /// is recorded the first time each object becomes a player's vote, so a
 /// player can produce at most one event per object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VoteEvent {
     /// The round the event happened.
     pub round: Round,

@@ -19,7 +19,6 @@ use std::fmt;
 /// assert_eq!(w.len(), 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Window {
     /// First round in the window (inclusive).
     pub start: Round,

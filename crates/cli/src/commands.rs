@@ -1134,12 +1134,14 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
     // Set-union merge of every worker checkpoint that exists. Racing or
     // duplicated workers are fine: duplicated trials must be bit-identical
     // (determinism), and `merge_checkpoints` hard-errors if they are not.
+    // A worker killed mid-append leaves a torn last frame; its trials
+    // belong to a chunk the queue never saw done, so salvage drops them.
     let mut parts = Vec::new();
     for id in 0..workers {
         let path = distill_harness::worker_checkpoint_path(&queue, id);
         if path.exists() {
             parts.push(
-                distill_harness::Checkpoint::load(&path)
+                distill_harness::Checkpoint::load_salvaged(&path)
                     .map_err(|e| err(format!("worker {id} checkpoint: {e}")))?,
             );
         }

@@ -55,11 +55,12 @@ pub struct BenchResult {
 }
 
 impl BenchResult {
-    /// Iterations per second implied by the mean; `0.0` for untimed rows
-    /// (`report_value` sets `mean_ns = 0`), keeping the JSON dump free of
+    /// Iterations per second implied by the mean of a timed row. `0.0` for
+    /// value rows, whose fields hold a reported value rather than
+    /// nanoseconds, and for a zero mean, keeping the JSON dump free of
     /// non-finite literals that strict parsers reject.
     pub fn throughput_per_sec(&self) -> f64 {
-        if self.mean_ns > 0.0 {
+        if self.kind == "timed" && self.mean_ns > 0.0 {
             1e9 / self.mean_ns
         } else {
             0.0
@@ -303,6 +304,24 @@ mod tests {
         assert_eq!(r.unit, "allocs/round");
         assert_eq!(r.mean_ns, 7.0);
         assert_eq!(r.samples, 1);
+    }
+
+    #[test]
+    fn value_rows_have_no_throughput() {
+        let mut c = Criterion::default();
+        c.benchmark_group("g")
+            .report_value("overhead_frac", 36.5, "fraction");
+        assert_eq!(c.results()[0].throughput_per_sec(), 0.0);
+        let timed = BenchResult {
+            id: "g/timed".into(),
+            kind: "timed",
+            unit: "ns".into(),
+            mean_ns: 2e6,
+            median_ns: 2e6,
+            min_ns: 2e6,
+            samples: 3,
+        };
+        assert_eq!(timed.throughput_per_sec(), 500.0);
     }
 
     #[test]

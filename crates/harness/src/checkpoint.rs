@@ -1,35 +1,50 @@
-//! Versioned, checksummed sweep checkpoints with atomic writes.
+//! Versioned, checksummed sweep checkpoints as an append-only frame log.
 //!
-//! A checkpoint is a binary snapshot of sweep progress: the config
-//! fingerprint, the total trial count, and every completed `(trial index,
-//! SimResult)` pair. The file layout is
+//! A checkpoint records sweep progress: the config fingerprint, the total
+//! trial count, and completed `(trial index, SimResult)` pairs. On disk it
+//! is a sequence of [`crate::frame`] frames,
 //!
 //! ```text
 //! magic "DSTLCKPT" (8) | version u32 | payload_len u64 | fnv1a64(payload) u64 | payload
 //! ```
 //!
-//! and the payload is `fingerprint u64 | total_trials u64 | count u64 |
-//! count × (trial u64, SimResult)` with trials strictly ascending. Decoding
-//! is total: truncation, bit flips, version skew, and config mismatches all
-//! yield a typed [`CheckpointError`] (property-tested in
-//! `tests/checkpoint_corruption.rs`), never a panic and never a silently
-//! wrong result — the checksum is verified before any payload byte is
-//! interpreted.
+//! each with payload `fingerprint u64 | total_trials u64 | count u64 |
+//! count × (trial u64, SimResult)`, trials strictly ascending within the
+//! frame. A sweep appends one frame per cadence point holding only the
+//! trials completed since the previous one ([`CheckpointLog`]), so the
+//! bytes written grow linearly in the trial count. [`Checkpoint::encode`]
+//! is the canonical one-frame form, and a one-frame file is exactly the
+//! pre-log (version 1) layout.
 //!
-//! Writes go through [`Checkpoint::write_atomic`]: encode to a
-//! process-unique sibling `<path>.tmp.<pid>` file, fsync, then `rename(2)`
-//! over the target (shared with the experiment store via [`crate::atomic`]).
-//! A process killed at any instant therefore leaves either the previous
-//! complete checkpoint or the new complete checkpoint on disk, never a torn
-//! hybrid — at worst an orphaned scratch file, which [`Checkpoint::load`]
-//! sweeps before reading.
+//! Decoding takes the union of every frame. All frames must agree on
+//! fingerprint and trial count, and a trial present in two frames must
+//! carry bit-identical results — the same union rule as
+//! [`crate::merge::merge_checkpoints`], from the same code. Decoding is
+//! total: truncation, bit flips, version skew, and config mismatches all
+//! yield a typed [`CheckpointError`] (property-tested in
+//! `tests/checkpoint_corruption.rs` and `tests/checkpoint_log.rs`), never
+//! a panic and never a silently wrong result — each frame's checksum is
+//! verified before any of its payload bytes are interpreted.
+//!
+//! ## Crash safety
+//!
+//! The first frame of a fresh log is written with
+//! [`crate::atomic::write_atomic`] (tmp file, fsync, rename), so it
+//! replaces any earlier file whole. Later frames are appended and fsynced
+//! before [`CheckpointLog::append`] returns. A process killed in the
+//! middle of an append leaves every earlier frame intact plus a prefix of
+//! the new one — a *torn tail*. Resume ([`CheckpointLog::resume`]) keeps
+//! the intact frames and cuts the torn tail off before appending again;
+//! any other damage stays a hard error.
 
 use crate::atomic;
-use crate::codec::{fnv1a64, CodecError, Reader, Writer};
+use crate::codec::{CodecError, Reader, Writer};
+use crate::frame::{self, Envelope, FrameError};
+use crate::merge::{MergeError, TrialUnion};
 use distill_billboard::{ObjectId, PlayerId, Round};
 use distill_sim::{FaultCounters, FinalEval, PlayerOutcome, SimResult, TraceEvent};
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// File magic: identifies a distill sweep checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DSTLCKPT";
@@ -39,15 +54,17 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"DSTLCKPT";
 /// rather than misread.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
-/// Header size: magic + version + payload length + checksum.
-const HEADER_LEN: usize = 8 + 4 + 8 + 8;
+const ENVELOPE: Envelope = Envelope {
+    magic: CHECKPOINT_MAGIC,
+    version: CHECKPOINT_VERSION,
+};
 
 /// Why a checkpoint could not be loaded or does not match the sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
     /// Reading or writing the file failed.
     Io(String),
-    /// The file is shorter than the fixed header.
+    /// The file is shorter than one frame header.
     TooShort {
         /// Observed file length.
         len: usize,
@@ -61,20 +78,21 @@ pub enum CheckpointError {
         /// Version this build writes.
         supported: u32,
     },
-    /// The payload is shorter than the header claims (torn or truncated
-    /// file).
+    /// A frame's payload is shorter than its header claims (torn or
+    /// truncated file).
     Truncated {
         /// Payload bytes the header promised.
         expected: u64,
         /// Payload bytes actually present.
         found: u64,
     },
-    /// The file has bytes beyond the declared payload.
+    /// Bytes past the last complete frame that cannot hold a frame
+    /// header, or past a frame's declared entries.
     TrailingBytes {
         /// Number of surplus bytes.
         extra: usize,
     },
-    /// The payload checksum does not match (bit rot or torn write).
+    /// A frame's payload checksum does not match (bit rot or torn write).
     ChecksumMismatch {
         /// Checksum stored in the header.
         stored: u64,
@@ -84,7 +102,7 @@ pub enum CheckpointError {
     /// The payload itself failed to decode (corruption past the checksum,
     /// which is effectively unreachable but still handled).
     Decode(CodecError),
-    /// Completed-trial indices are not strictly ascending.
+    /// Completed-trial indices are not strictly ascending within a frame.
     OutOfOrder {
         /// The index that broke the order.
         trial: u64,
@@ -95,6 +113,15 @@ pub enum CheckpointError {
         trial: u64,
         /// The sweep's trial count.
         total: u64,
+    },
+    /// The frame starting at byte `at` cannot join the frames before it:
+    /// it names another fingerprint or trial count, or repeats a trial
+    /// with different result bytes.
+    InconsistentFrames {
+        /// Byte offset of the offending frame.
+        at: usize,
+        /// The union rule it broke.
+        cause: MergeError,
     },
     /// The checkpoint was written by a sweep with a different configuration.
     ConfigMismatch {
@@ -119,7 +146,8 @@ impl fmt::Display for CheckpointError {
             CheckpointError::TooShort { len } => {
                 write!(
                     f,
-                    "checkpoint file too short ({len} bytes < {HEADER_LEN}-byte header)"
+                    "checkpoint file too short ({len} bytes < {}-byte header)",
+                    frame::HEADER_LEN
                 )
             }
             CheckpointError::BadMagic => f.write_str("not a checkpoint file (bad magic)"),
@@ -151,6 +179,12 @@ impl fmt::Display for CheckpointError {
             CheckpointError::TrialOutOfRange { trial, total } => {
                 write!(f, "checkpoint names trial {trial} outside 0..{total}")
             }
+            CheckpointError::InconsistentFrames { at, cause } => {
+                write!(
+                    f,
+                    "checkpoint frame at byte {at} disagrees with earlier frames: {cause}"
+                )
+            }
             CheckpointError::ConfigMismatch { stored, expected } => {
                 write!(
                     f,
@@ -176,6 +210,33 @@ impl From<CodecError> for CheckpointError {
     }
 }
 
+impl From<FrameError> for CheckpointError {
+    /// A first frame shorter than a header is a too-short file; after a
+    /// complete frame, a fragment that short is trailing bytes.
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::TooShort { at: 0, len } => CheckpointError::TooShort { len },
+            FrameError::TooShort { len, .. } => CheckpointError::TrailingBytes { extra: len },
+            FrameError::BadMagic { .. } => CheckpointError::BadMagic,
+            FrameError::UnsupportedVersion {
+                found, supported, ..
+            } => CheckpointError::UnsupportedVersion { found, supported },
+            FrameError::Truncated {
+                expected, found, ..
+            } => CheckpointError::Truncated { expected, found },
+            FrameError::ChecksumMismatch {
+                stored, computed, ..
+            } => CheckpointError::ChecksumMismatch { stored, computed },
+        }
+    }
+}
+
+impl From<atomic::AtomicIoError> for CheckpointError {
+    fn from(e: atomic::AtomicIoError) -> Self {
+        CheckpointError::Io(e.to_string())
+    }
+}
+
 /// A snapshot of sweep progress.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
@@ -188,100 +249,125 @@ pub struct Checkpoint {
     pub completed: Vec<(u64, SimResult)>,
 }
 
-impl Checkpoint {
-    /// Encodes the checkpoint to its on-disk byte layout.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Writer::new();
-        payload.put_u64(self.fingerprint);
-        payload.put_u64(self.total_trials);
-        payload.put_u64(self.completed.len() as u64);
-        for (trial, result) in &self.completed {
-            payload.put_u64(*trial);
-            encode_sim_result(&mut payload, result);
+/// Encodes one frame holding `entries`, which must be strictly ascending
+/// by trial. Results are encoded from the borrowed values.
+fn encode_frame(fingerprint: u64, total_trials: u64, entries: &[(u64, &SimResult)]) -> Vec<u8> {
+    let mut w = ENVELOPE.frame();
+    w.put_u64(fingerprint);
+    w.put_u64(total_trials);
+    w.put_u64(entries.len() as u64);
+    for &(trial, result) in entries {
+        w.put_u64(trial);
+        encode_sim_result(&mut w, result);
+    }
+    w.finish()
+}
+
+/// Decodes one frame's payload, checking order and range within it.
+fn decode_payload(payload: &[u8]) -> Result<Checkpoint, CheckpointError> {
+    let mut r = Reader::new(payload);
+    let fingerprint = r.u64()?;
+    let total_trials = r.u64()?;
+    let count = r.seq_len(8)?;
+    let mut completed = Vec::with_capacity(count);
+    let mut prev: Option<u64> = None;
+    for _ in 0..count {
+        let trial = r.u64()?;
+        if prev.is_some_and(|p| trial <= p) {
+            return Err(CheckpointError::OutOfOrder { trial });
         }
-        let payload = payload.into_bytes();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        if trial >= total_trials {
+            return Err(CheckpointError::TrialOutOfRange {
+                trial,
+                total: total_trials,
+            });
+        }
+        prev = Some(trial);
+        let result = decode_sim_result(&mut r)?;
+        completed.push((trial, result));
+    }
+    if r.remaining() != 0 {
+        return Err(CheckpointError::TrailingBytes {
+            extra: r.remaining(),
+        });
+    }
+    Ok(Checkpoint {
+        fingerprint,
+        total_trials,
+        completed,
+    })
+}
+
+/// Decodes frames from the start of `bytes` and unions them. Stops at the
+/// end of the input or at the first frame that fails its envelope check,
+/// returning the union so far, the byte length it spans, and that frame's
+/// error. Payload and union errors end the decode outright.
+fn decode_frames(bytes: &[u8]) -> Result<(Checkpoint, usize, Option<FrameError>), CheckpointError> {
+    let first = ENVELOPE.next(bytes, 0)?;
+    let head = decode_payload(first.payload)?;
+    let mut at = first.end;
+    if at == bytes.len() {
+        return Ok((head, at, None));
+    }
+    let mut union = TrialUnion::new(head.fingerprint, head.total_trials);
+    let mut absorb = |at: usize, part: Checkpoint| {
+        union
+            .absorb(part.fingerprint, part.total_trials, part.completed)
+            .map_err(|cause| CheckpointError::InconsistentFrames { at, cause })
+    };
+    absorb(0, head)?;
+    let mut damage = None;
+    while at < bytes.len() {
+        match ENVELOPE.next(bytes, at) {
+            Ok(next) => {
+                absorb(at, decode_payload(next.payload)?)?;
+                at = next.end;
+            }
+            Err(e) => {
+                damage = Some(e);
+                break;
+            }
+        }
+    }
+    Ok((union.into_checkpoint(), at, damage))
+}
+
+impl Checkpoint {
+    /// Encodes the checkpoint as one canonical frame.
+    pub fn encode(&self) -> Vec<u8> {
+        let entries: Vec<(u64, &SimResult)> = self.completed.iter().map(|(t, r)| (*t, r)).collect();
+        encode_frame(self.fingerprint, self.total_trials, &entries)
     }
 
-    /// Decodes a checkpoint, verifying magic, version, length, and checksum
-    /// before interpreting a single payload byte.
+    /// Decodes a checkpoint log: the union of every frame, each verified
+    /// (magic, version, length, checksum) before its payload is read.
     ///
     /// # Errors
     /// Every corruption mode maps to a [`CheckpointError`] variant; no input
-    /// can cause a panic.
+    /// can cause a panic. Frames that disagree on the sweep or on a
+    /// duplicated trial yield [`CheckpointError::InconsistentFrames`].
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(CheckpointError::TooShort { len: bytes.len() });
+        match decode_frames(bytes)? {
+            (ck, _, None) => Ok(ck),
+            (_, _, Some(damage)) => Err(damage.into()),
         }
-        if bytes[..8] != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic);
+    }
+
+    /// Salvage decode for resume: the union of the intact leading frames
+    /// and the byte length they span, with a torn tail — a last frame the
+    /// file ends inside of, as a writer killed mid-append leaves — cut
+    /// off. Returns the full length when nothing was torn.
+    ///
+    /// # Errors
+    /// As [`Checkpoint::decode`] for any damage other than a torn tail,
+    /// including a damaged first frame (the first frame is written
+    /// atomically, so it is never torn).
+    pub fn decode_salvage(bytes: &[u8]) -> Result<(Self, usize), CheckpointError> {
+        match decode_frames(bytes)? {
+            (ck, intact, None) => Ok((ck, intact)),
+            (ck, intact, Some(damage)) if damage.is_torn_tail() => Ok((ck, intact)),
+            (_, _, Some(damage)) => Err(damage.into()),
         }
-        let mut header = Reader::new(&bytes[8..HEADER_LEN]);
-        let version = header.u32()?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion {
-                found: version,
-                supported: CHECKPOINT_VERSION,
-            });
-        }
-        let payload_len = header.u64()?;
-        let stored_checksum = header.u64()?;
-        let payload = &bytes[HEADER_LEN..];
-        if (payload.len() as u64) < payload_len {
-            return Err(CheckpointError::Truncated {
-                expected: payload_len,
-                found: payload.len() as u64,
-            });
-        }
-        if (payload.len() as u64) > payload_len {
-            return Err(CheckpointError::TrailingBytes {
-                extra: payload.len() - payload_len as usize,
-            });
-        }
-        let computed = fnv1a64(payload);
-        if computed != stored_checksum {
-            return Err(CheckpointError::ChecksumMismatch {
-                stored: stored_checksum,
-                computed,
-            });
-        }
-        let mut r = Reader::new(payload);
-        let fingerprint = r.u64()?;
-        let total_trials = r.u64()?;
-        let count = r.seq_len(8)?;
-        let mut completed = Vec::with_capacity(count);
-        let mut prev: Option<u64> = None;
-        for _ in 0..count {
-            let trial = r.u64()?;
-            if prev.is_some_and(|p| trial <= p) {
-                return Err(CheckpointError::OutOfOrder { trial });
-            }
-            if trial >= total_trials {
-                return Err(CheckpointError::TrialOutOfRange {
-                    trial,
-                    total: total_trials,
-                });
-            }
-            prev = Some(trial);
-            let result = decode_sim_result(&mut r)?;
-            completed.push((trial, result));
-        }
-        if r.remaining() != 0 {
-            return Err(CheckpointError::TrailingBytes {
-                extra: r.remaining(),
-            });
-        }
-        Ok(Checkpoint {
-            fingerprint,
-            total_trials,
-            completed,
-        })
     }
 
     /// Verifies the checkpoint belongs to the sweep described by
@@ -306,32 +392,121 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Loads and decodes a checkpoint file, first sweeping any orphaned
-    /// `*.tmp*` scratch siblings a killed writer left behind (a crash
-    /// between create and rename leaves the previous complete checkpoint at
-    /// `path` plus crash debris next to it; the debris is reclaimed here so
-    /// it cannot accumulate across restarts). A failed sweep is deliberately
-    /// non-fatal — resuming from the intact checkpoint matters more.
+    /// Loads and strictly decodes a checkpoint file, first sweeping any
+    /// orphaned `*.tmp*` scratch siblings a killed writer left behind (a
+    /// crash between create and rename leaves the previous complete
+    /// checkpoint at `path` plus crash debris next to it; the debris is
+    /// reclaimed here so it cannot accumulate across restarts). A failed
+    /// sweep is deliberately non-fatal — resuming from the intact
+    /// checkpoint matters more.
     ///
     /// # Errors
     /// I/O failures surface as [`CheckpointError::Io`]; corrupt contents as
     /// the corresponding decode variant.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let _ = atomic::sweep_stale_tmp(path);
-        let bytes = std::fs::read(path)
-            .map_err(|e| CheckpointError::Io(format!("{}: {e}", path.display())))?;
-        Checkpoint::decode(&bytes)
+        Checkpoint::decode(&read_swept(path)?)
     }
 
-    /// Writes the checkpoint atomically: encode to `<path>.tmp.<pid>`,
-    /// fsync, then rename over `path` (see [`crate::atomic`]). A crash at
-    /// any point leaves either the old or the new complete file, never a
-    /// torn one.
+    /// [`Checkpoint::load`] with [`Checkpoint::decode_salvage`]: reads a
+    /// log whose writer may have been killed mid-append, without touching
+    /// the file.
+    ///
+    /// # Errors
+    /// As [`Checkpoint::decode_salvage`], plus [`CheckpointError::Io`].
+    pub fn load_salvaged(path: &Path) -> Result<Self, CheckpointError> {
+        Checkpoint::decode_salvage(&read_swept(path)?).map(|(ck, _)| ck)
+    }
+
+    /// Writes the checkpoint atomically as one frame: encode to
+    /// `<path>.tmp.<pid>`, fsync, then rename over `path` (see
+    /// [`crate::atomic`]). A crash at any point leaves either the old or
+    /// the new complete file, never a torn one.
     ///
     /// # Errors
     /// [`CheckpointError::Io`] with the failing path and OS error.
     pub fn write_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
-        atomic::write_atomic(path, &self.encode()).map_err(|e| CheckpointError::Io(e.to_string()))
+        Ok(atomic::write_atomic(path, &self.encode())?)
+    }
+}
+
+/// Sweeps stale scratch siblings of `path`, then reads it.
+fn read_swept(path: &Path) -> Result<Vec<u8>, CheckpointError> {
+    let _ = atomic::sweep_stale_tmp(path);
+    std::fs::read(path).map_err(|e| CheckpointError::Io(format!("{}: {e}", path.display())))
+}
+
+/// The writing side of a checkpoint log: [`CheckpointLog::append`] adds
+/// one frame per cadence point, holding only the newly completed trials.
+#[derive(Debug)]
+pub struct CheckpointLog {
+    path: PathBuf,
+    fingerprint: u64,
+    total_trials: u64,
+    /// `None` until the first frame exists on disk.
+    appender: Option<frame::Appender>,
+}
+
+impl CheckpointLog {
+    /// A log that starts over: its first append atomically replaces
+    /// whatever `path` holds, later appends extend it.
+    pub fn create(path: &Path, fingerprint: u64, total_trials: u64) -> Self {
+        CheckpointLog {
+            path: path.to_path_buf(),
+            fingerprint,
+            total_trials,
+            appender: None,
+        }
+    }
+
+    /// Reopens the log at `path` to continue a sweep. The file is
+    /// salvage-decoded ([`Checkpoint::decode_salvage`]), a torn tail is cut
+    /// off on disk, and the recovered progress is returned with the log.
+    /// A missing file starts a fresh log with nothing recovered.
+    ///
+    /// # Errors
+    /// Damage other than a torn tail, a checkpoint from another sweep
+    /// ([`CheckpointError::ConfigMismatch`],
+    /// [`CheckpointError::TrialCountMismatch`]), and I/O failures.
+    pub fn resume(
+        path: &Path,
+        fingerprint: u64,
+        total_trials: u64,
+    ) -> Result<(Self, Checkpoint), CheckpointError> {
+        let mut log = CheckpointLog::create(path, fingerprint, total_trials);
+        let bytes = match read_swept(path) {
+            Ok(bytes) => bytes,
+            Err(_) if !path.exists() => {
+                let empty = Checkpoint {
+                    fingerprint,
+                    total_trials,
+                    completed: Vec::new(),
+                };
+                return Ok((log, empty));
+            }
+            Err(e) => return Err(e),
+        };
+        let (ck, intact) = Checkpoint::decode_salvage(&bytes)?;
+        ck.validate_for(fingerprint, total_trials)?;
+        log.appender = Some(frame::Appender::open(path, intact as u64)?);
+        Ok((log, ck))
+    }
+
+    /// Appends one frame holding `entries` — strictly ascending by trial —
+    /// and fsyncs it before returning, so the entries are durable once
+    /// this returns.
+    ///
+    /// # Errors
+    /// [`CheckpointError::Io`] with the failing path and OS error.
+    pub fn append(&mut self, entries: &[(u64, &SimResult)]) -> Result<(), CheckpointError> {
+        let bytes = encode_frame(self.fingerprint, self.total_trials, entries);
+        match &mut self.appender {
+            Some(appender) => appender.append(&bytes)?,
+            None => {
+                atomic::write_atomic(&self.path, &bytes)?;
+                self.appender = Some(frame::Appender::open(&self.path, bytes.len() as u64)?);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -887,6 +1062,10 @@ mod tests {
             CheckpointError::Decode(CodecError::BadUtf8 { at: 0 }),
             CheckpointError::OutOfOrder { trial: 3 },
             CheckpointError::TrialOutOfRange { trial: 9, total: 8 },
+            CheckpointError::InconsistentFrames {
+                at: 64,
+                cause: MergeError::Conflict { trial: 3 },
+            },
             CheckpointError::ConfigMismatch {
                 stored: 1,
                 expected: 2,

@@ -1,7 +1,7 @@
 //! Minimal binary codec for checkpoint payloads.
 //!
-//! Hand-rolled because the build environment is offline (the vendored serde
-//! stub has no binary backend) and because checkpoints need a *stable,
+//! Hand-rolled because the build environment is offline (no serialization
+//! crate is vendored) and because checkpoints need a *stable,
 //! versioned* layout that survives compiler and dependency upgrades: every
 //! multi-byte integer is little-endian, every `f64` travels as its raw IEEE
 //! bit pattern (so NaN payloads round-trip bit-identically), and every

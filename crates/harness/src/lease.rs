@@ -10,7 +10,8 @@
 //! worker — that is the whole worker-loss story: a kill -9 mid-chunk leaves
 //! an expired lease, and the next claim re-runs the chunk.
 //!
-//! The file layout mirrors the checkpoint format:
+//! The file is one frame in the shared [`crate::frame`] envelope — a
+//! snapshot, rewritten atomically on every update, not an appended log:
 //!
 //! ```text
 //! magic "DSTLLEAS" (8) | version u32 | payload_len u64 | fnv1a64(payload) u64 | payload
@@ -39,7 +40,8 @@
 //! sleeping.
 
 use crate::atomic;
-use crate::codec::{fnv1a64, CodecError, Reader, Writer};
+use crate::codec::{CodecError, Reader};
+use crate::frame::{self, Envelope, FrameError};
 use std::fmt;
 use std::path::Path;
 
@@ -51,8 +53,10 @@ pub const LEASE_MAGIC: [u8; 8] = *b"DSTLLEAS";
 /// than misread.
 pub const LEASE_VERSION: u32 = 1;
 
-/// Header size: magic + version + payload length + checksum.
-const HEADER_LEN: usize = 8 + 4 + 8 + 8;
+const ENVELOPE: Envelope = Envelope {
+    magic: LEASE_MAGIC,
+    version: LEASE_VERSION,
+};
 
 /// Why a lease queue could not be built, loaded, or does not match the
 /// sweep.
@@ -137,7 +141,8 @@ impl fmt::Display for LeaseError {
             LeaseError::TooShort { len } => {
                 write!(
                     f,
-                    "lease-queue file too short ({len} bytes < {HEADER_LEN}-byte header)"
+                    "lease-queue file too short ({len} bytes < {}-byte header)",
+                    frame::HEADER_LEN
                 )
             }
             LeaseError::BadMagic => f.write_str("not a lease-queue file (bad magic)"),
@@ -199,6 +204,25 @@ impl std::error::Error for LeaseError {}
 impl From<CodecError> for LeaseError {
     fn from(e: CodecError) -> Self {
         LeaseError::Decode(e)
+    }
+}
+
+impl From<FrameError> for LeaseError {
+    /// The queue is a single frame at offset 0, so offsets are dropped.
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::TooShort { len, .. } => LeaseError::TooShort { len },
+            FrameError::BadMagic { .. } => LeaseError::BadMagic,
+            FrameError::UnsupportedVersion {
+                found, supported, ..
+            } => LeaseError::UnsupportedVersion { found, supported },
+            FrameError::Truncated {
+                expected, found, ..
+            } => LeaseError::Truncated { expected, found },
+            FrameError::ChecksumMismatch {
+                stored, computed, ..
+            } => LeaseError::ChecksumMismatch { stored, computed },
+        }
     }
 }
 
@@ -440,32 +464,25 @@ impl LeaseQueue {
     /// canonical — a function of the queue state alone — so two processes
     /// that arrive at the same state write bit-identical files.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Writer::new();
-        payload.put_u64(self.fingerprint);
-        payload.put_u64(self.total_trials);
-        payload.put_u64(self.chunk_size);
-        payload.put_u32(self.max_claims);
-        payload.put_u64(self.chunks.len() as u64);
+        let mut w = ENVELOPE.frame();
+        w.put_u64(self.fingerprint);
+        w.put_u64(self.total_trials);
+        w.put_u64(self.chunk_size);
+        w.put_u32(self.max_claims);
+        w.put_u64(self.chunks.len() as u64);
         for entry in &self.chunks {
-            payload.put_u32(entry.claims);
+            w.put_u32(entry.claims);
             match entry.state {
-                ChunkState::Available => payload.put_u8(0),
+                ChunkState::Available => w.put_u8(0),
                 ChunkState::Leased { worker, expires_ms } => {
-                    payload.put_u8(1);
-                    payload.put_u64(worker);
-                    payload.put_u64(expires_ms);
+                    w.put_u8(1);
+                    w.put_u64(worker);
+                    w.put_u64(expires_ms);
                 }
-                ChunkState::Done => payload.put_u8(2),
+                ChunkState::Done => w.put_u8(2),
             }
         }
-        let payload = payload.into_bytes();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&LEASE_MAGIC);
-        out.extend_from_slice(&LEASE_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        w.finish()
     }
 
     /// Decodes a queue, verifying magic, version, length, and checksum
@@ -475,42 +492,13 @@ impl LeaseQueue {
     /// Every corruption mode maps to a [`LeaseError`] variant; no input can
     /// cause a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, LeaseError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(LeaseError::TooShort { len: bytes.len() });
-        }
-        if bytes[..8] != LEASE_MAGIC {
-            return Err(LeaseError::BadMagic);
-        }
-        let mut header = Reader::new(&bytes[8..HEADER_LEN]);
-        let version = header.u32()?;
-        if version != LEASE_VERSION {
-            return Err(LeaseError::UnsupportedVersion {
-                found: version,
-                supported: LEASE_VERSION,
-            });
-        }
-        let payload_len = header.u64()?;
-        let stored_checksum = header.u64()?;
-        let payload = &bytes[HEADER_LEN..];
-        if (payload.len() as u64) < payload_len {
-            return Err(LeaseError::Truncated {
-                expected: payload_len,
-                found: payload.len() as u64,
-            });
-        }
-        if (payload.len() as u64) > payload_len {
+        let frame = ENVELOPE.next(bytes, 0)?;
+        if frame.end < bytes.len() {
             return Err(LeaseError::TrailingBytes {
-                extra: payload.len() - usize::try_from(payload_len).unwrap_or(payload.len()),
+                extra: bytes.len() - frame.end,
             });
         }
-        let computed = fnv1a64(payload);
-        if computed != stored_checksum {
-            return Err(LeaseError::ChecksumMismatch {
-                stored: stored_checksum,
-                computed,
-            });
-        }
-        let mut r = Reader::new(payload);
+        let mut r = Reader::new(frame.payload);
         let fingerprint = r.u64()?;
         let total_trials = r.u64()?;
         let chunk_size = r.u64()?;

@@ -11,8 +11,12 @@
 //!   the FNV-1a checksum/fingerprint hash.
 //! - [`atomic`] — the tmp/fsync/rename write idiom with pid-unique scratch
 //!   files and stale-orphan sweeping, shared by checkpoints and the store.
-//! - [`checkpoint`] — the versioned, checksummed, atomically-written sweep
-//!   snapshot ([`Checkpoint`]) and its typed corruption errors.
+//! - [`frame`] — the one framed envelope (magic, version, length,
+//!   checksum) every harness file format uses: frame encode, next-frame
+//!   decode with typed offset-carrying errors, and fsynced appends.
+//! - [`checkpoint`] — sweep progress as an append-only frame log
+//!   ([`CheckpointLog`]) decoding to a [`Checkpoint`], with typed
+//!   corruption errors and torn-tail salvage for resume.
 //! - [`store`] — the append-only experiment-results store
 //!   ([`ExperimentStore`]): perf measurements keyed by
 //!   `(bench id, commit, timestamp)` with set-union merge, plus the
@@ -42,9 +46,9 @@
 //! rule D1 bans `catch_unwind` and rule D2 bans wall-clock reads precisely
 //! so that panic absorption and timing live *here*, in the supervision
 //! layer, and nowhere in the simulation crates. See DESIGN.md §12. The
-//! persistence modules ([`store`], [`atomic`], [`lease`], [`merge`]) need
-//! neither escape hatch, so they are individually file-protected under
-//! rules D1–D7 via `xtask::LintConfig::protected_files` (DESIGN.md §16);
+//! persistence modules ([`frame`], [`store`], [`atomic`], [`lease`],
+//! [`merge`]) need neither escape hatch, so they are individually
+//! file-protected under rules D1–D7 via `xtask::LintConfig::protected_files` (DESIGN.md §16);
 //! [`lease`] in particular takes the clock as an explicit argument so it
 //! stays deterministic, leaving wall-clock reads to [`worker`].
 
@@ -53,6 +57,7 @@
 pub mod atomic;
 pub mod checkpoint;
 pub mod codec;
+pub mod frame;
 pub mod lease;
 pub mod merge;
 pub mod quarantine;
@@ -62,7 +67,9 @@ pub mod sweep;
 pub mod worker;
 
 pub use atomic::{sweep_stale_tmp, write_atomic, AtomicIoError};
-pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
+pub use checkpoint::{
+    Checkpoint, CheckpointError, CheckpointLog, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+};
 pub use codec::{fnv1a64, CodecError, Reader, Writer};
 pub use lease::{
     ChunkEntry, ChunkState, LeaseError, LeaseOutcome, LeaseQueue, LEASE_MAGIC, LEASE_VERSION,

@@ -23,6 +23,7 @@
 use crate::checkpoint::{encode_sim_result, Checkpoint};
 use crate::codec::Writer;
 use distill_sim::SimResult;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -91,6 +92,78 @@ fn result_bytes(result: &SimResult) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// The set-union of completed trials from parts of one sweep, keyed by
+/// trial index. This is the single home of the union rule: every part
+/// must carry the same fingerprint and trial count, and a trial present
+/// in two parts must have bit-identical results. [`merge_checkpoints`]
+/// unions per-worker files with it, and [`Checkpoint::decode`] unions the
+/// frames of one checkpoint log.
+#[derive(Debug)]
+pub(crate) struct TrialUnion {
+    fingerprint: u64,
+    total_trials: u64,
+    trials: BTreeMap<u64, SimResult>,
+}
+
+impl TrialUnion {
+    /// An empty union for the sweep `(fingerprint, total_trials)`.
+    pub(crate) fn new(fingerprint: u64, total_trials: u64) -> Self {
+        TrialUnion {
+            fingerprint,
+            total_trials,
+            trials: BTreeMap::new(),
+        }
+    }
+
+    /// Adds one part's trials. Results are compared through their
+    /// canonical encoding only when a trial is already present.
+    ///
+    /// # Errors
+    /// The mismatch variants when the part belongs to another sweep, and
+    /// [`MergeError::Conflict`] when a duplicated trial disagrees.
+    pub(crate) fn absorb(
+        &mut self,
+        fingerprint: u64,
+        total_trials: u64,
+        completed: impl IntoIterator<Item = (u64, SimResult)>,
+    ) -> Result<(), MergeError> {
+        if fingerprint != self.fingerprint {
+            return Err(MergeError::ConfigMismatch {
+                first: self.fingerprint,
+                other: fingerprint,
+            });
+        }
+        if total_trials != self.total_trials {
+            return Err(MergeError::TrialCountMismatch {
+                first: self.total_trials,
+                other: total_trials,
+            });
+        }
+        for (trial, result) in completed {
+            match self.trials.entry(trial) {
+                Entry::Vacant(slot) => {
+                    slot.insert(result);
+                }
+                Entry::Occupied(slot) => {
+                    if result_bytes(slot.get()) != result_bytes(&result) {
+                        return Err(MergeError::Conflict { trial });
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The union as a checkpoint, trials strictly ascending.
+    pub(crate) fn into_checkpoint(self) -> Checkpoint {
+        Checkpoint {
+            fingerprint: self.fingerprint,
+            total_trials: self.total_trials,
+            completed: self.trials.into_iter().collect(),
+        }
+    }
+}
+
 /// Merges per-worker checkpoints by set-union on trial index.
 ///
 /// All inputs must share one fingerprint and trial count. Duplicate trials
@@ -107,38 +180,15 @@ pub fn merge_checkpoints(parts: &[Checkpoint]) -> Result<Checkpoint, MergeError>
     let Some(first) = parts.first() else {
         return Err(MergeError::Empty);
     };
-    for other in &parts[1..] {
-        if other.fingerprint != first.fingerprint {
-            return Err(MergeError::ConfigMismatch {
-                first: first.fingerprint,
-                other: other.fingerprint,
-            });
-        }
-        if other.total_trials != first.total_trials {
-            return Err(MergeError::TrialCountMismatch {
-                first: first.total_trials,
-                other: other.total_trials,
-            });
-        }
-    }
-    let mut union: BTreeMap<u64, (Vec<u8>, SimResult)> = BTreeMap::new();
+    let mut union = TrialUnion::new(first.fingerprint, first.total_trials);
     for part in parts {
-        for (trial, result) in &part.completed {
-            let bytes = result_bytes(result);
-            match union.get(trial) {
-                None => {
-                    union.insert(*trial, (bytes, result.clone()));
-                }
-                Some((existing, _)) if *existing == bytes => {}
-                Some(_) => return Err(MergeError::Conflict { trial: *trial }),
-            }
-        }
+        union.absorb(
+            part.fingerprint,
+            part.total_trials,
+            part.completed.iter().map(|(t, r)| (*t, r.clone())),
+        )?;
     }
-    Ok(Checkpoint {
-        fingerprint: first.fingerprint,
-        total_trials: first.total_trials,
-        completed: union.into_iter().map(|(t, (_, r))| (t, r)).collect(),
-    })
+    Ok(union.into_checkpoint())
 }
 
 #[cfg(test)]

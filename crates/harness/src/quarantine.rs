@@ -8,8 +8,8 @@
 //! leaves a replayable record behind. Replaying is `run_trial(seed)` with
 //! the recorded config; nothing else is needed.
 //!
-//! The JSON is hand-rolled (the vendored serde stub has no serializer);
-//! escaping covers the JSON string mandatory set (quote, backslash, and
+//! The JSON is hand-rolled (the build is offline and vendors no JSON
+//! serializer); escaping covers the JSON string mandatory set (quote, backslash, and
 //! control characters).
 
 use crate::supervisor::TrialFailure;

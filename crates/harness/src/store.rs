@@ -11,8 +11,9 @@
 //!
 //! ## File format
 //!
-//! A store file is a sequence of frames, each framed exactly like the sweep
-//! checkpoint (`DSTLCKPT`, DESIGN.md §12):
+//! A store file is a sequence of frames in the shared [`crate::frame`]
+//! envelope, the same one the sweep checkpoint (`DSTLCKPT`, DESIGN.md §12)
+//! uses:
 //!
 //! ```text
 //! magic "DSTLSTOR" (8) | version u32 | payload_len u64 | fnv1a64(payload) u64 | payload
@@ -47,7 +48,8 @@
 //! yield [`TrendStatus::Indeterminate`] instead of NaN verdicts.
 
 use crate::atomic;
-use crate::codec::{fnv1a64, CodecError, Reader, Writer};
+use crate::codec::{CodecError, Reader, Writer};
+use crate::frame::{self, Envelope, FrameError};
 use std::cmp::Ordering;
 use std::fmt;
 use std::path::Path;
@@ -60,8 +62,10 @@ pub const STORE_MAGIC: [u8; 8] = *b"DSTLSTOR";
 /// misread.
 pub const STORE_VERSION: u32 = 1;
 
-/// Frame header size: magic + version + payload length + checksum.
-const FRAME_HEADER_LEN: usize = 8 + 4 + 8 + 8;
+const ENVELOPE: Envelope = Envelope {
+    magic: STORE_MAGIC,
+    version: STORE_VERSION,
+};
 
 /// Minimum encoded size of one record (empty strings): three length
 /// prefixes, timestamp, kind tag, three floats, samples.
@@ -289,7 +293,8 @@ impl fmt::Display for StoreError {
             StoreError::Io(msg) => write!(f, "store I/O error: {msg}"),
             StoreError::TooShort { at, len } => write!(
                 f,
-                "store frame at byte {at} cut off ({len} bytes < {FRAME_HEADER_LEN}-byte header)"
+                "store frame at byte {at} cut off ({len} bytes < {}-byte header)",
+                frame::HEADER_LEN
             ),
             StoreError::BadMagic { at } => {
                 write!(f, "not a store frame at byte {at} (bad magic)")
@@ -342,6 +347,42 @@ impl std::error::Error for StoreError {}
 impl From<CodecError> for StoreError {
     fn from(e: CodecError) -> Self {
         StoreError::Decode(e)
+    }
+}
+
+impl From<FrameError> for StoreError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::TooShort { at, len } => StoreError::TooShort { at, len },
+            FrameError::BadMagic { at } => StoreError::BadMagic { at },
+            FrameError::UnsupportedVersion {
+                at,
+                found,
+                supported,
+            } => StoreError::UnsupportedVersion {
+                at,
+                found,
+                supported,
+            },
+            FrameError::Truncated {
+                at,
+                expected,
+                found,
+            } => StoreError::Truncated {
+                at,
+                expected,
+                found,
+            },
+            FrameError::ChecksumMismatch {
+                at,
+                stored,
+                computed,
+            } => StoreError::ChecksumMismatch {
+                at,
+                stored,
+                computed,
+            },
+        }
     }
 }
 
@@ -420,19 +461,12 @@ impl ExperimentStore {
     /// Encodes the store as one canonical frame. Equal record sets always
     /// produce identical bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Writer::new();
-        payload.put_u64(self.records.len() as u64);
+        let mut w = ENVELOPE.frame();
+        w.put_u64(self.records.len() as u64);
         for record in &self.records {
-            record.encode_into(&mut payload);
+            record.encode_into(&mut w);
         }
-        let payload = payload.into_bytes();
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        out.extend_from_slice(&STORE_MAGIC);
-        out.extend_from_slice(&STORE_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        w.finish()
     }
 
     /// Decodes a store file: every frame is verified (magic, version,
@@ -536,48 +570,8 @@ impl ExperimentStore {
 /// Decodes one frame starting at byte `at`; returns its records and the
 /// offset of the next frame.
 fn decode_frame(bytes: &[u8], at: usize) -> Result<(Vec<ExperimentRecord>, usize), StoreError> {
-    let rest = bytes.get(at..).unwrap_or(&[]);
-    if rest.len() < FRAME_HEADER_LEN {
-        return Err(StoreError::TooShort {
-            at,
-            len: rest.len(),
-        });
-    }
-    if rest.get(..8) != Some(&STORE_MAGIC[..]) {
-        return Err(StoreError::BadMagic { at });
-    }
-    let mut header = Reader::new(rest.get(8..FRAME_HEADER_LEN).unwrap_or(&[]));
-    let version = header.u32()?;
-    if version != STORE_VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            at,
-            found: version,
-            supported: STORE_VERSION,
-        });
-    }
-    let payload_len = header.u64()?;
-    let stored_checksum = header.u64()?;
-    let body = rest.get(FRAME_HEADER_LEN..).unwrap_or(&[]);
-    let available = body.len() as u64;
-    if available < payload_len {
-        return Err(StoreError::Truncated {
-            at,
-            expected: payload_len,
-            found: available,
-        });
-    }
-    // payload_len <= body.len() <= usize::MAX, so the conversion is exact.
-    let payload_end = usize::try_from(payload_len).unwrap_or(body.len());
-    let payload = body.get(..payload_end).unwrap_or(&[]);
-    let computed = fnv1a64(payload);
-    if computed != stored_checksum {
-        return Err(StoreError::ChecksumMismatch {
-            at,
-            stored: stored_checksum,
-            computed,
-        });
-    }
-    let mut r = Reader::new(payload);
+    let frame = ENVELOPE.next(bytes, at)?;
+    let mut r = Reader::new(frame.payload);
     let count = r.seq_len(MIN_RECORD_BYTES)?;
     let mut records = Vec::with_capacity(count);
     for _ in 0..count {
@@ -589,7 +583,7 @@ fn decode_frame(bytes: &[u8], at: usize) -> Result<(Vec<ExperimentRecord>, usize
             extra: r.remaining(),
         });
     }
-    Ok((records, at + FRAME_HEADER_LEN + payload_end))
+    Ok((records, frame.end))
 }
 
 // ---------------------------------------------------------------------------
@@ -632,8 +626,8 @@ impl BenchRow {
     }
 }
 
-/// A parsed JSON value — the minimal subset the bench dumps use. The
-/// vendored serde stub has no JSON backend, so the reader is hand-rolled
+/// A parsed JSON value — the minimal subset the bench dumps use. No JSON
+/// crate is vendored in the offline build, so the reader is hand-rolled
 /// (like the quarantine writer) and total: depth-limited, no panics.
 #[derive(Debug, Clone, PartialEq)]
 enum Json {

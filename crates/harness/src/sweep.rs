@@ -2,9 +2,10 @@
 //!
 //! Composes the other three modules: trials run under
 //! [`supervise`](crate::supervisor::supervise) (panic isolation + retries +
-//! watchdog), completed results accumulate into an ordered map, a
-//! [`Checkpoint`] is written atomically after every `checkpoint_every` new
-//! completions, and exhausted failures become [`QuarantineRecord`] lines.
+//! watchdog), completed results accumulate into an ordered map, a frame
+//! holding the trials completed since the last one is appended to the
+//! [`CheckpointLog`] after every `checkpoint_every` new completions, and
+//! exhausted failures become [`QuarantineRecord`] lines.
 //!
 //! ## Why resume preserves determinism
 //!
@@ -16,7 +17,7 @@
 //! an uninterrupted run follows, and `tests/sweep_resume.rs` property-tests
 //! it across thread counts.
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::{CheckpointError, CheckpointLog};
 use crate::codec::fnv1a64;
 use crate::quarantine::QuarantineRecord;
 use crate::supervisor::{supervise, SupervisorPolicy};
@@ -57,9 +58,10 @@ pub struct SweepConfig {
     pub threads: usize,
     /// Checkpoint file; `None` disables checkpointing.
     pub checkpoint: Option<PathBuf>,
-    /// Write a checkpoint after every this many new completions (clamped to
-    /// at least 1). A final checkpoint is always written when new results
-    /// exist, so the cadence only bounds *loss*, not completeness.
+    /// Append a checkpoint frame after every this many new completions
+    /// (clamped to at least 1). A final frame is always appended when
+    /// unsaved results exist, so the cadence only bounds *loss*, not
+    /// completeness.
     pub checkpoint_every: u64,
     /// Load the checkpoint (if the file exists) and skip completed trials.
     /// A corrupt or mismatched checkpoint is an error, not a silent restart.
@@ -78,8 +80,8 @@ pub struct SweepConfig {
     /// *streaming* mode: results are handed to the
     /// [`ResultFold`] passed to [`run_sweep_with`] in ascending trial order
     /// and then dropped, so sweep memory is O(1) in the trial count.
-    /// Streaming is incompatible with checkpointing (a checkpoint must
-    /// re-encode every completed result) — see
+    /// Streaming is incompatible with checkpointing (resume must hand the
+    /// checkpointed results back, which streaming does not keep) — see
     /// [`SweepError::StreamingWithCheckpoint`].
     pub retain_results: bool,
 }
@@ -164,6 +166,21 @@ impl From<CheckpointError> for SweepError {
     }
 }
 
+/// Drains `unsaved` into the ascending `(trial, &result)` entries of the
+/// next checkpoint frame, borrowing the results from `completed`.
+pub(crate) fn unsaved_entries<'a>(
+    completed: &'a BTreeMap<u64, SimResult>,
+    unsaved: &mut Vec<u64>,
+) -> Vec<(u64, &'a SimResult)> {
+    unsaved.sort_unstable();
+    let entries = unsaved
+        .iter()
+        .filter_map(|t| completed.get(t).map(|r| (*t, r)))
+        .collect();
+    unsaved.clear();
+    entries
+}
+
 /// Runs the sweep described by `config` over `spec`.
 ///
 /// Workers pull trial indices work-stealing style (a shared atomic cursor
@@ -210,18 +227,19 @@ pub fn run_sweep_with<S: TrialSpec>(
         return Err(SweepError::StreamingWithCheckpoint);
     }
 
-    // Resume: load prior progress. A missing file is a fresh start; a
-    // corrupt or mismatched file is a hard error.
+    // Resume: load prior progress. A missing file is a fresh start, a torn
+    // tail left by a kill mid-append is cut off, and any other damage or a
+    // mismatched file is a hard error.
     let mut completed: BTreeMap<u64, SimResult> = BTreeMap::new();
-    if config.resume {
-        if let Some(path) = &config.checkpoint {
-            if path.exists() {
-                let ck = Checkpoint::load(path)?;
-                ck.validate_for(fingerprint, config.trials)?;
-                completed.extend(ck.completed);
-            }
+    let mut log = match &config.checkpoint {
+        Some(path) if config.resume => {
+            let (log, ck) = CheckpointLog::resume(path, fingerprint, config.trials)?;
+            completed.extend(ck.completed);
+            Some(log)
         }
-    }
+        Some(path) => Some(CheckpointLog::create(path, fingerprint, config.trials)),
+        None => None,
+    };
     let resumed = completed.len() as u64;
 
     // Quarantined trials are deliberately absent from checkpoints, so a
@@ -279,22 +297,21 @@ pub fn run_sweep_with<S: TrialSpec>(
         }
         drop(tx); // coordinator's recv ends when the last worker exits
 
-        let every = config.checkpoint_every.max(1);
+        let every = usize::try_from(config.checkpoint_every.max(1)).unwrap_or(usize::MAX);
         let mut new_done = 0u64;
-        let mut unsaved = 0u64;
-        let write_checkpoint =
-            |completed: &BTreeMap<u64, SimResult>, written: &mut u64| -> Result<(), SweepError> {
-                if let Some(path) = &config.checkpoint {
-                    let ck = Checkpoint {
-                        fingerprint,
-                        total_trials: config.trials,
-                        completed: completed.iter().map(|(t, r)| (*t, r.clone())).collect(),
-                    };
-                    ck.write_atomic(path)?;
-                    *written += 1;
-                }
-                Ok(())
-            };
+        // Trials completed since the last frame; only tracked when there is
+        // a log to append them to.
+        let mut unsaved: Vec<u64> = Vec::new();
+        let mut write_checkpoint = |completed: &BTreeMap<u64, SimResult>,
+                                    unsaved: &mut Vec<u64>,
+                                    written: &mut u64|
+         -> Result<(), SweepError> {
+            if let Some(log) = &mut log {
+                log.append(&unsaved_entries(completed, unsaved))?;
+                *written += 1;
+            }
+            Ok(())
+        };
 
         let coordinate = (|| -> Result<(), SweepError> {
             while let Ok((trial, out)) = rx.recv() {
@@ -306,10 +323,15 @@ pub fn run_sweep_with<S: TrialSpec>(
                             completed.insert(trial, result);
                         }
                         new_done += 1;
-                        unsaved += 1;
-                        if unsaved >= every {
-                            write_checkpoint(&completed, &mut report.checkpoints_written)?;
-                            unsaved = 0;
+                        if config.checkpoint.is_some() {
+                            unsaved.push(trial);
+                        }
+                        if unsaved.len() >= every {
+                            write_checkpoint(
+                                &completed,
+                                &mut unsaved,
+                                &mut report.checkpoints_written,
+                            )?;
                         }
                     }
                     Err(failure) => {
@@ -354,8 +376,8 @@ pub fn run_sweep_with<S: TrialSpec>(
                     break;
                 }
             }
-            if unsaved > 0 || (report.aborted && config.checkpoint.is_some()) {
-                write_checkpoint(&completed, &mut report.checkpoints_written)?;
+            if !unsaved.is_empty() || (report.aborted && config.checkpoint.is_some()) {
+                write_checkpoint(&completed, &mut unsaved, &mut report.checkpoints_written)?;
             }
             Ok(())
         })();

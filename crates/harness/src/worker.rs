@@ -36,11 +36,11 @@
 //! supervisor itself can be killed and restarted freely — a fresh
 //! supervisor run picks up exactly where the files say.
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::{CheckpointError, CheckpointLog};
 use crate::lease::{LeaseError, LeaseOutcome, LeaseQueue};
 use crate::quarantine::QuarantineRecord;
 use crate::supervisor::{supervise, SupervisorPolicy};
-use crate::sweep::{fingerprint_of, TrialSpec};
+use crate::sweep::{fingerprint_of, unsaved_entries, TrialSpec};
 use distill_sim::SimResult;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -417,32 +417,29 @@ pub fn run_worker<S: TrialSpec>(
         finished: false,
     };
 
-    // This worker's own prior progress. A corrupt own checkpoint is
-    // discarded (results are re-derivable by re-running); a checkpoint
-    // from a different sweep is a hard error.
+    // This worker's own prior progress. A torn tail from a kill mid-append
+    // is cut off; an otherwise corrupt own checkpoint is discarded (results
+    // are re-derivable by re-running) and the next append replaces it; a
+    // checkpoint from a different sweep is a hard error.
     let mut completed: BTreeMap<u64, SimResult> = BTreeMap::new();
-    if ckpt_path.exists() {
-        match Checkpoint::load(&ckpt_path) {
-            Ok(ck) => {
-                ck.validate_for(fingerprint, config.trials)?;
-                completed.extend(ck.completed);
-            }
-            Err(CheckpointError::Io(_)) => {}
-            Err(_) => report.checkpoint_rebuilt = true,
+    let mut log = match CheckpointLog::resume(&ckpt_path, fingerprint, config.trials) {
+        Ok((log, ck)) => {
+            completed.extend(ck.completed);
+            log
         }
-    }
-
-    let every = config.checkpoint_every.max(1);
-    let mut unsaved = 0u64;
-    let write_checkpoint = |completed: &BTreeMap<u64, SimResult>| -> Result<(), WorkerError> {
-        Checkpoint {
-            fingerprint,
-            total_trials: config.trials,
-            completed: completed.iter().map(|(t, r)| (*t, r.clone())).collect(),
+        Err(
+            e @ (CheckpointError::ConfigMismatch { .. }
+            | CheckpointError::TrialCountMismatch { .. }),
+        ) => return Err(e.into()),
+        Err(e) => {
+            report.checkpoint_rebuilt = !matches!(e, CheckpointError::Io(_));
+            CheckpointLog::create(&ckpt_path, fingerprint, config.trials)
         }
-        .write_atomic(&ckpt_path)?;
-        Ok(())
     };
+
+    let every = usize::try_from(config.checkpoint_every.max(1)).unwrap_or(usize::MAX);
+    // Trials completed since the last appended frame.
+    let mut unsaved: Vec<u64> = Vec::new();
 
     loop {
         if config
@@ -526,10 +523,9 @@ pub fn run_worker<S: TrialSpec>(
                 Ok(result) => {
                     completed.insert(trial, result);
                     report.trials_run += 1;
-                    unsaved += 1;
-                    if unsaved >= every {
-                        write_checkpoint(&completed)?;
-                        unsaved = 0;
+                    unsaved.push(trial);
+                    if unsaved.len() >= every {
+                        log.append(&unsaved_entries(&completed, &mut unsaved))?;
                     }
                 }
                 Err(failure) => {
@@ -557,9 +553,8 @@ pub fn run_worker<S: TrialSpec>(
         // Durability before visibility: the chunk's results must be in the
         // checkpoint before the queue says done, so a crash between the
         // two re-runs the chunk instead of losing it.
-        if unsaved > 0 {
-            write_checkpoint(&completed)?;
-            unsaved = 0;
+        if !unsaved.is_empty() {
+            log.append(&unsaved_entries(&completed, &mut unsaved))?;
         }
         if chunk_quarantined > 0 {
             // A chunk with quarantined trials: release it for another
@@ -595,8 +590,8 @@ pub fn run_worker<S: TrialSpec>(
             report.chunks_completed += 1;
         }
     }
-    if unsaved > 0 {
-        write_checkpoint(&completed)?;
+    if !unsaved.is_empty() {
+        log.append(&unsaved_entries(&completed, &mut unsaved))?;
     }
     Ok(report)
 }
@@ -705,6 +700,7 @@ pub fn supervise_workers(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Checkpoint;
     use crate::merge::merge_checkpoints;
     use crate::sweep::{run_sweep, SweepConfig};
     use std::sync::atomic::{AtomicU64, Ordering};

@@ -212,9 +212,9 @@ pub struct LintConfig {
     /// Root-relative source paths in *unprotected* crates that receive the
     /// same per-source D1/D2/D5/D6/D7 scan. This is how individual modules
     /// earn protection without dragging a whole crate onto the list — the
-    /// harness persistence modules (`store`, `atomic`) need neither the
-    /// `catch_unwind` nor the wall-clock escape hatch their crate exists
-    /// for. Paths inside a protected member would be scanned twice; keep
+    /// harness persistence modules (`frame`, `store`, `atomic`, …) need
+    /// neither the `catch_unwind` nor the wall-clock escape hatch their
+    /// crate exists for. Paths inside a protected member would be scanned twice; keep
     /// them off this list.
     pub protected_files: Vec<String>,
     /// Member path prefixes exempt from the D3 `forbid(unsafe_code)` check
@@ -245,6 +245,7 @@ impl LintConfig {
             protected_files: [
                 "crates/harness/src/atomic.rs",
                 "crates/harness/src/codec.rs",
+                "crates/harness/src/frame.rs",
                 "crates/harness/src/lease.rs",
                 "crates/harness/src/merge.rs",
                 "crates/harness/src/store.rs",
@@ -1327,6 +1328,7 @@ mod tests {
         for file in [
             "crates/harness/src/atomic.rs",
             "crates/harness/src/codec.rs",
+            "crates/harness/src/frame.rs",
             "crates/harness/src/lease.rs",
             "crates/harness/src/merge.rs",
             "crates/harness/src/store.rs",
