@@ -30,10 +30,7 @@ use distill_billboard::{
     Billboard, ObjectId, PlayerId, ReportKind, Round, VotePolicy, VoteTracker, Window,
 };
 use distill_core::{Distill, DistillParams};
-use distill_sim::{
-    run_trials, run_trials_scoped, run_trials_threaded, Engine, NullAdversary, SimConfig, StopRule,
-    World,
-};
+use distill_sim::{run_trials_scoped, Engine, NullAdversary, SimConfig, StopRule, World};
 
 #[global_allocator]
 static ALLOC: alloc_count::CountingAllocator = alloc_count::CountingAllocator;
@@ -334,11 +331,11 @@ fn bench_trials(c: &mut Criterion) {
     let mut group = c.benchmark_group("trials");
     group.sample_size(10);
     group.bench_function("sequential_fresh_8x_n128", |b| {
-        b.iter(|| run_trials(TRIALS, fresh_trial))
+        b.iter(|| run_trials_scoped(TRIALS, 1, || (), |(), t| fresh_trial(t)))
     });
     group.bench_function("sequential_reuse_8x_n128", |b| b.iter(|| scoped_trials(1)));
     group.bench_function("threaded_fresh_t2_8x_n128", |b| {
-        b.iter(|| run_trials_threaded(TRIALS, 2, fresh_trial))
+        b.iter(|| run_trials_scoped(TRIALS, 2, || (), |(), t| fresh_trial(t)))
     });
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     group.bench_function(&format!("threaded_reuse_t{cores}_8x_n128"), |b| {

@@ -14,7 +14,7 @@
 
 #![forbid(unsafe_code)]
 
-use distill_sim::{run_trials_threaded, Adversary, Cohort, SimConfig, SimResult, World};
+use distill_sim::{run_trials_scoped, Adversary, Cohort, SimConfig, SimResult, World};
 
 /// The per-experiment default trial count, overridable via `DISTILL_TRIALS`.
 pub fn trials(default: usize) -> usize {
@@ -56,15 +56,20 @@ where
     A: Fn(u64) -> Box<dyn Adversary> + Sync,
     F: Fn(u64) -> SimConfig + Sync,
 {
-    run_trials_threaded(n_trials, threads(), |t| {
-        let w = world(t);
-        let c = cohort(&w, t);
-        let a = adversary(t);
-        distill_sim::Engine::new(config(t), &w, c, a)
-            .expect("experiment setup must be valid")
-            .run()
-            .expect("experiment run must succeed")
-    })
+    run_trials_scoped(
+        n_trials,
+        threads(),
+        || (),
+        |(), t| {
+            let w = world(t);
+            let c = cohort(&w, t);
+            let a = adversary(t);
+            distill_sim::Engine::new(config(t), &w, c, a)
+                .expect("experiment setup must be valid")
+                .run()
+                .expect("experiment run must succeed")
+        },
+    )
 }
 
 /// Mean of a per-trial statistic.

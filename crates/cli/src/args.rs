@@ -101,16 +101,33 @@ impl Args {
             .unwrap_or_else(|| default.to_string())
     }
 
+    /// A parsed flag without a default: `None` when it was not given.
+    pub fn get<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, ArgError> {
+        self.flags
+            .get(flag)
+            .map(|raw| {
+                raw.parse().map_err(|_| ArgError::BadValue {
+                    flag: flag.to_string(),
+                    value: raw.clone(),
+                    expected: std::any::type_name::<T>(),
+                })
+            })
+            .transpose()
+    }
+
     /// A parsed flag with a default.
     pub fn get_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, ArgError> {
-        match self.flags.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| ArgError::BadValue {
-                flag: flag.to_string(),
-                value: raw.clone(),
-                expected: std::any::type_name::<T>(),
-            }),
-        }
+        Ok(self.get(flag)?.unwrap_or(default))
+    }
+
+    /// The given `--flag value` pairs whose names are in `names`, as argv
+    /// tokens in name order, for handing on to a child process.
+    pub fn forward(&self, names: &[&str]) -> Vec<String> {
+        self.flags
+            .iter()
+            .filter(|(flag, _)| names.contains(&flag.as_str()))
+            .flat_map(|(flag, value)| [format!("--{flag}"), value.clone()])
+            .collect()
     }
 
     /// `true` iff the switch was given.
@@ -147,6 +164,8 @@ mod tests {
         assert_eq!(a.get_or("n", 0u32).unwrap(), 128);
         assert!((a.get_or("alpha", 0.0f64).unwrap() - 0.9).abs() < 1e-12);
         assert_eq!(a.get_or("missing", 7u32).unwrap(), 7);
+        assert_eq!(a.get::<u32>("n").unwrap(), Some(128));
+        assert_eq!(a.get::<u32>("missing").unwrap(), None);
         assert_eq!(a.str_or("mode", "default"), "default");
     }
 
@@ -174,6 +193,20 @@ mod tests {
             a.ensure_known(&["m"]),
             Err(ArgError::UnknownFlag(_))
         ));
+    }
+
+    #[test]
+    fn forward_keeps_only_the_named_flags_as_given() {
+        let a = Args::parse(
+            ["sweep", "--seed", "07", "--n", "16", "--out", "x", "--json"],
+            &["json"],
+        )
+        .unwrap();
+        assert_eq!(
+            a.forward(&["n", "seed", "json"]),
+            ["--n", "16", "--seed", "07"]
+        );
+        assert!(a.forward(&["m"]).is_empty());
     }
 
     #[test]

@@ -7,10 +7,15 @@ use distill_adversary::{
 };
 use distill_analysis::{bounds, fmt_f, lemma9, Summary, Table};
 use distill_core::{Balance, Distill, DistillParams, GuessAlpha, RandomProbing, ThreePhase};
+use distill_harness::quarantine::escape_json;
+use distill_harness::{LeaseQueue, QuarantineRecord, SupervisorPolicy, TrialSpec, WorkerConfig};
 use distill_sim::{
-    player_count, run_trials_scoped, run_trials_threaded, Adversary, Cohort, Engine, FaultPlan,
-    NullAdversary, SimConfig, StopRule, World,
+    player_count, run_trials_scoped, Adversary, Cohort, Engine, FaultPlan, NullAdversary,
+    SimConfig, SimResult, StopRule, World,
 };
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// A command failure, rendered to the user.
 #[derive(Debug)]
@@ -252,7 +257,11 @@ fn make_adversary(name: &str) -> Result<Box<dyn Adversary>, CliError> {
     })
 }
 
-const RUN_FLAGS: &[&str] = &[
+/// The simulation spec: every flag that changes what a trial computes.
+/// `run`, `sweep`, `sweep-worker` and `sweep-supervise` all take it and
+/// parse it with [`parse_sweep_spec`], so they agree on every trial by
+/// construction. It is also the whole of `run`'s surface.
+const SPEC_FLAGS: &[&str] = &[
     "n",
     "m",
     "honest",
@@ -271,100 +280,92 @@ const RUN_FLAGS: &[&str] = &[
     "recovery-rate",
 ];
 
+/// `sweep`'s own flags: the crash-safety surface.
+const SWEEP_FLAGS: &[&str] = &[
+    "checkpoint",
+    "checkpoint-every",
+    "trial-timeout",
+    "max-retries",
+    "quarantine",
+    "threads",
+    "out",
+    "inject-panic",
+    "resume",
+    "stream",
+];
+
+/// The fabric flags a `sweep-worker` takes that `sweep-supervise` also
+/// takes and hands on, as given, to every worker it spawns (with the spec
+/// flags). `--inject-panic` changes results, so it is hashed into the queue
+/// fingerprint like the spec.
+const FORWARDED_FLAGS: &[&str] = &[
+    "inject-panic",
+    "queue",
+    "chunk",
+    "lease-ttl",
+    "max-claims",
+    "max-retries",
+    "trial-timeout",
+    "checkpoint-every",
+    // test/CI hooks
+    "stop-after-chunks",
+    "fail-after-trials",
+];
+
+/// `sweep-worker`'s own flags besides the forwarded ones.
+const SWEEP_WORKER_FLAGS: &[&str] = &["worker-id", "quarantine", "poll-ms"];
+
+/// `sweep-supervise`'s own flags besides the forwarded ones: the fleet
+/// surface (`--poll-ms` is the supervisor's own poll, not the workers').
+const SWEEP_SUPERVISE_FLAGS: &[&str] = &["workers", "max-restarts", "poll-ms", "out", "merged"];
+
 /// `distill run` — simulate one configuration.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    args.ensure_known(RUN_FLAGS)?;
-    // Accept the full u64 range on the command line, then funnel through the
-    // one sanctioned id-space check so an oversize population fails with the
-    // typed message instead of a parse error (or a silent truncation).
-    let n: u32 = player_count(args.get_or("n", 256)?).map_err(|e| err(e.to_string()))?;
-    let m: u32 = args.get_or("m", n)?;
-    let default_honest = ((f64::from(n)) * 0.9).round() as u32;
-    let honest: u32 = args.get_or("honest", default_honest)?;
-    let goods: u32 = args.get_or("goods", 1)?;
-    let trials: usize = args.get_or("trials", 10)?;
-    let seed: u64 = args.get_or("seed", 0)?;
-    let f: usize = args.get_or("f", 1)?;
-    let error_rate: f64 = args.get_or("error-rate", 0.0)?;
-    let max_rounds: u64 = args.get_or("max-rounds", 1_000_000)?;
-    let faults = FaultPlan::none()
-        .with_drop_rate(args.get_or("drop-rate", 0.0)?)
-        .with_view_lag(args.get_or("view-lag", 0)?)
-        .with_crash_rate(args.get_or("crash-rate", 0.0)?)
-        .with_crash_window(args.get_or("crash-window", 64)?)
-        .with_recovery_rate(args.get_or("recovery-rate", 0.0)?);
-    faults
-        .validate()
-        .map_err(|msg| err(format!("fault plan: {msg}")))?;
-    let algorithm = args.str_or("algorithm", "distill");
-    let adversary_name = args.str_or("adversary", "uniform-bad");
-    if honest == 0 || honest > n {
-        return Err(err(format!("--honest {honest} must be in 1..={n}")));
-    }
-    if goods == 0 || goods > m {
-        return Err(err(format!("--goods {goods} must be in 1..={m}")));
-    }
-    let alpha = f64::from(honest) / f64::from(n);
-    // Validate names and parameters once, up front, so trial workers can't
-    // hit a construction failure mid-run.
-    make_cohort(&algorithm, n, m, alpha, f64::from(goods) / f64::from(m))?;
-    make_adversary(&adversary_name)?;
+    args.ensure_known(SPEC_FLAGS)?;
+    let (spec, trials) = parse_sweep_spec(args)?;
 
     // Per-trial worlds are built up front so each worker can keep one engine
     // arena alive for its whole share of the trials (`Engine::reset_with_world`
     // swaps the world in without reallocating the board/tracker buffers).
-    let worlds: Vec<World> = (0..trials as u64)
-        .map(|t| {
-            World::binary(m, goods, seed.wrapping_add(1_000_003).wrapping_add(t))
-                .expect("validated world parameters")
-        })
-        .collect();
+    let worlds: Vec<World> = (0..trials).map(|t| spec.world(t)).collect();
     let results = run_trials_scoped(
-        trials,
+        worlds.len(),
         num_threads(),
         || None,
         |slot: &mut Option<Engine<'_>>, t| {
             let world = &worlds[t as usize];
-            let cohort =
-                make_cohort(&algorithm, n, m, alpha, world.beta()).expect("validated algorithm");
-            let adversary = make_adversary(&adversary_name).expect("validated adversary");
-            let trial_seed = seed.wrapping_add(t);
+            let (cohort, adversary) = spec.players(world);
             let engine = match slot {
                 Some(engine) => {
                     engine
-                        .reset_with_world(trial_seed, world, cohort, adversary)
+                        .reset_with_world(spec.seed(t), world, cohort, adversary)
                         .expect("validated configuration");
                     engine
                 }
-                None => {
-                    let config = SimConfig::new(n, honest, trial_seed)
-                        .with_policy(distill_billboard::VotePolicy::multi_vote(f))
-                        .with_honest_error_rate(error_rate)
-                        .with_faults(faults)
-                        .with_stop(StopRule::all_satisfied(max_rounds));
-                    slot.insert(
-                        Engine::new(config, world, cohort, adversary)
-                            .expect("validated configuration"),
-                    )
-                }
+                None => slot.insert(
+                    Engine::new(spec.config(t), world, cohort, adversary)
+                        .expect("validated configuration"),
+                ),
             };
             engine.run_mut().expect("engine run on validated inputs")
         },
     );
 
+    let SweepSpec {
+        n,
+        m,
+        goods,
+        faults,
+        ..
+    } = spec;
+    let alpha = spec.alpha();
     let costs: Vec<f64> = results.iter().map(|r| r.mean_probes()).collect();
     let rounds: Vec<f64> = results.iter().map(|r| r.rounds as f64).collect();
     let done = results.iter().filter(|r| r.all_satisfied).count();
     let cost = summary_or_blank(&costs);
     let rds = summary_or_blank(&rounds);
 
-    let mut table = Table::new(
-        format!(
-            "{algorithm} vs {adversary_name} — n={n} m={m} honest={honest} (alpha={alpha:.3}) \
-             goods={goods} f={f} trials={trials}"
-        ),
-        &["metric", "mean", "min", "max"],
-    );
+    let mut table = Table::new(spec.title(trials), &["metric", "mean", "min", "max"]);
     table.row_owned(vec![
         "individual cost (probes)".into(),
         fmt_f(cost.mean),
@@ -440,112 +441,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
 /// (documented in EXPERIMENTS.md P5).
 const STREAM_EPSILON: f64 = 0.005;
 
-const SWEEP_FLAGS: &[&str] = &[
-    // everything `run` takes…
-    "n",
-    "m",
-    "honest",
-    "goods",
-    "algorithm",
-    "adversary",
-    "trials",
-    "seed",
-    "f",
-    "error-rate",
-    "max-rounds",
-    "drop-rate",
-    "view-lag",
-    "crash-rate",
-    "crash-window",
-    "recovery-rate",
-    // …plus the crash-safety surface
-    "checkpoint",
-    "checkpoint-every",
-    "trial-timeout",
-    "max-retries",
-    "quarantine",
-    "threads",
-    "out",
-    "inject-panic",
-    "resume",
-    "stream",
-];
-
-const SWEEP_WORKER_FLAGS: &[&str] = &[
-    // the simulation spec (must match the supervisor's exactly — it is
-    // hashed into the queue fingerprint)…
-    "n",
-    "m",
-    "honest",
-    "goods",
-    "algorithm",
-    "adversary",
-    "trials",
-    "seed",
-    "f",
-    "error-rate",
-    "max-rounds",
-    "drop-rate",
-    "view-lag",
-    "crash-rate",
-    "crash-window",
-    "recovery-rate",
-    "inject-panic",
-    // …plus the fabric surface
-    "queue",
-    "worker-id",
-    "chunk",
-    "lease-ttl",
-    "max-claims",
-    "max-retries",
-    "trial-timeout",
-    "quarantine",
-    "checkpoint-every",
-    "poll-ms",
-    "stop-after-chunks",
-    "fail-after-trials",
-];
-
-const SWEEP_SUPERVISE_FLAGS: &[&str] = &[
-    // the simulation spec (forwarded verbatim to every worker)…
-    "n",
-    "m",
-    "honest",
-    "goods",
-    "algorithm",
-    "adversary",
-    "trials",
-    "seed",
-    "f",
-    "error-rate",
-    "max-rounds",
-    "drop-rate",
-    "view-lag",
-    "crash-rate",
-    "crash-window",
-    "recovery-rate",
-    "inject-panic",
-    // …worker passthrough…
-    "queue",
-    "chunk",
-    "lease-ttl",
-    "max-claims",
-    "max-retries",
-    "trial-timeout",
-    "checkpoint-every",
-    // …and the fleet surface
-    "workers",
-    "max-restarts",
-    "poll-ms",
-    "out",
-    "merged",
-    // test/CI hooks, forwarded to every worker (mirrors --inject-panic)
-    "stop-after-chunks",
-    "fail-after-trials",
-];
-
-/// A fully-validated, owned trial spec for the supervised sweep runner:
-/// everything `run` does per trial, as a pure function of the trial index.
+/// A fully-validated, owned trial spec: what every trial-running command
+/// does per trial, as a pure function of the trial index.
 struct SweepSpec {
     n: u32,
     m: u32,
@@ -562,30 +459,64 @@ struct SweepSpec {
     inject_panic: Option<u64>,
 }
 
-impl distill_harness::TrialSpec for SweepSpec {
+impl SweepSpec {
+    fn alpha(&self) -> f64 {
+        f64::from(self.honest) / f64::from(self.n)
+    }
+
+    /// The table title `run` and `sweep` print for this spec.
+    fn title(&self, trials: u64) -> String {
+        format!(
+            "{} vs {} — n={} m={} honest={} (alpha={:.3}) goods={} f={} trials={trials}",
+            self.algorithm,
+            self.adversary,
+            self.n,
+            self.m,
+            self.honest,
+            self.alpha(),
+            self.goods,
+            self.f
+        )
+    }
+
+    /// Trial `trial`'s object universe.
+    fn world(&self, trial: u64) -> World {
+        World::binary(
+            self.m,
+            self.goods,
+            self.seed.wrapping_add(1_000_003).wrapping_add(trial),
+        )
+        .expect("validated world")
+    }
+
+    /// Trial `trial`'s engine configuration.
+    fn config(&self, trial: u64) -> SimConfig {
+        SimConfig::new(self.n, self.honest, self.seed(trial))
+            .with_policy(distill_billboard::VotePolicy::multi_vote(self.f))
+            .with_honest_error_rate(self.error_rate)
+            .with_faults(self.faults)
+            .with_stop(StopRule::all_satisfied(self.max_rounds))
+    }
+
+    /// Fresh protocol and adversary state for one trial on `world`.
+    fn players(&self, world: &World) -> (Box<dyn Cohort>, Box<dyn Adversary>) {
+        (
+            make_cohort(&self.algorithm, self.n, self.m, self.alpha(), world.beta())
+                .expect("validated algorithm"),
+            make_adversary(&self.adversary).expect("validated adversary"),
+        )
+    }
+}
+
+impl TrialSpec for SweepSpec {
     fn run_trial(&self, trial: u64) -> distill_sim::SimResult {
         assert!(
             self.inject_panic != Some(trial),
             "injected panic at trial {trial} (--inject-panic)"
         );
-        // Same seed derivations as `run`, so a sweep of N trials reproduces
-        // `run --trials N` exactly.
-        let world = World::binary(
-            self.m,
-            self.goods,
-            self.seed.wrapping_add(1_000_003).wrapping_add(trial),
-        )
-        .expect("validated world");
-        let alpha = f64::from(self.honest) / f64::from(self.n);
-        let cohort = make_cohort(&self.algorithm, self.n, self.m, alpha, world.beta())
-            .expect("validated algorithm");
-        let adversary = make_adversary(&self.adversary).expect("validated adversary");
-        let config = SimConfig::new(self.n, self.honest, self.seed(trial))
-            .with_policy(distill_billboard::VotePolicy::multi_vote(self.f))
-            .with_honest_error_rate(self.error_rate)
-            .with_faults(self.faults)
-            .with_stop(StopRule::all_satisfied(self.max_rounds));
-        Engine::new(config, &world, cohort, adversary)
+        let world = self.world(trial);
+        let (cohort, adversary) = self.players(&world);
+        Engine::new(self.config(trial), &world, cohort, adversary)
             .expect("validated configuration")
             .run()
             .expect("engine run on validated inputs")
@@ -617,21 +548,19 @@ impl distill_harness::TrialSpec for SweepSpec {
     }
 }
 
-/// Parses the simulation-spec surface shared by `sweep`, `sweep-worker`,
-/// and `sweep-supervise` into a fully-validated [`SweepSpec`] plus the
-/// trial count. Everything that changes trial results flows through here,
-/// so all three entry points agree on the fingerprint by construction.
+/// Parses the simulation-spec surface ([`SPEC_FLAGS`], plus
+/// `--inject-panic` where the command takes it) into a fully-validated
+/// [`SweepSpec`] plus the trial count.
 fn parse_sweep_spec(args: &Args) -> Result<(SweepSpec, u64), CliError> {
+    // Accept the full u64 range on the command line, then funnel through the
+    // one sanctioned id-space check so an oversize population fails with the
+    // typed message instead of a parse error (or a silent truncation).
     let n: u32 = player_count(args.get_or("n", 256)?).map_err(|e| err(e.to_string()))?;
     let m: u32 = args.get_or("m", n)?;
     let default_honest = ((f64::from(n)) * 0.9).round() as u32;
     let honest: u32 = args.get_or("honest", default_honest)?;
     let goods: u32 = args.get_or("goods", 1)?;
     let trials: u64 = args.get_or("trials", 10)?;
-    let seed: u64 = args.get_or("seed", 0)?;
-    let f: usize = args.get_or("f", 1)?;
-    let error_rate: f64 = args.get_or("error-rate", 0.0)?;
-    let max_rounds: u64 = args.get_or("max-rounds", 1_000_000)?;
     let faults = FaultPlan::none()
         .with_drop_rate(args.get_or("drop-rate", 0.0)?)
         .with_view_lag(args.get_or("view-lag", 0)?)
@@ -641,8 +570,6 @@ fn parse_sweep_spec(args: &Args) -> Result<(SweepSpec, u64), CliError> {
     faults
         .validate()
         .map_err(|msg| err(format!("fault plan: {msg}")))?;
-    let algorithm = args.str_or("algorithm", "distill");
-    let adversary_name = args.str_or("adversary", "uniform-bad");
     if honest == 0 || honest > n {
         return Err(err(format!("--honest {honest} must be in 1..={n}")));
     }
@@ -652,33 +579,88 @@ fn parse_sweep_spec(args: &Args) -> Result<(SweepSpec, u64), CliError> {
     if trials == 0 {
         return Err(err("--trials must be at least 1"));
     }
-    let alpha = f64::from(honest) / f64::from(n);
-    // Validate names and parameters once, up front, so trial workers can't
-    // hit a construction failure mid-run (`SweepSpec::run_trial` relies on
-    // this when it `expect`s).
-    make_cohort(&algorithm, n, m, alpha, f64::from(goods) / f64::from(m))?;
-    make_adversary(&adversary_name)?;
-    let inject_panic = match args.flags.get("inject-panic") {
-        None => None,
-        Some(_) => Some(args.get_or("inject-panic", 0u64)?),
+    let spec = SweepSpec {
+        n,
+        m,
+        honest,
+        goods,
+        algorithm: args.str_or("algorithm", "distill"),
+        adversary: args.str_or("adversary", "uniform-bad"),
+        seed: args.get_or("seed", 0)?,
+        f: args.get_or("f", 1)?,
+        error_rate: args.get_or("error-rate", 0.0)?,
+        max_rounds: args.get_or("max-rounds", 1_000_000)?,
+        faults,
+        inject_panic: args.get("inject-panic")?,
     };
-    Ok((
-        SweepSpec {
-            n,
-            m,
-            honest,
-            goods,
-            algorithm,
-            adversary: adversary_name,
-            seed,
-            f,
-            error_rate,
-            max_rounds,
-            faults,
-            inject_panic,
-        },
-        trials,
-    ))
+    // Validate names and parameters once, up front, so trial workers can't
+    // hit a construction failure mid-run (the `SweepSpec` methods rely on
+    // this when they `expect`).
+    make_cohort(
+        &spec.algorithm,
+        n,
+        m,
+        spec.alpha(),
+        f64::from(goods) / f64::from(m),
+    )?;
+    make_adversary(&spec.adversary)?;
+    Ok((spec, trials))
+}
+
+/// `--max-retries` / `--trial-timeout`: the per-trial retry and watchdog
+/// policy of `sweep` and the fabric workers.
+fn parse_policy(args: &Args) -> Result<SupervisorPolicy, CliError> {
+    let trial_timeout: f64 = args.get_or("trial-timeout", 0.0)?;
+    if trial_timeout < 0.0 || !trial_timeout.is_finite() {
+        return Err(err(
+            "--trial-timeout must be a finite number of seconds >= 0",
+        ));
+    }
+    Ok(SupervisorPolicy {
+        max_retries: args.get_or("max-retries", 2)?,
+        trial_timeout: (trial_timeout > 0.0).then(|| Duration::from_secs_f64(trial_timeout)),
+        ..SupervisorPolicy::default()
+    })
+}
+
+/// The canonical per-trial digest file behind `--out`: one line per
+/// completed trial with the FNV-1a hash of its encoded `SimResult`, so CI
+/// can diff a resumed sweep or a fabric merge against an uninterrupted
+/// reference byte for byte.
+fn digest_lines(results: &[(u64, SimResult)]) -> String {
+    let mut text = String::new();
+    for (trial, result) in results {
+        let mut w = distill_harness::Writer::new();
+        distill_harness::checkpoint::encode_sim_result(&mut w, result);
+        let digest = distill_harness::fnv1a64(&w.into_bytes());
+        text.push_str(&format!("trial {trial} {digest:016x}\n"));
+    }
+    text
+}
+
+fn write_digests(path: &Path, results: &[(u64, SimResult)]) -> Result<(), CliError> {
+    std::fs::write(path, digest_lines(results))
+        .map_err(|e| err(format!("--out {}: {e}", path.display())))
+}
+
+/// `path` with `suffix` appended to its file name.
+fn suffixed(path: &Path, suffix: &str) -> PathBuf {
+    let mut s = path.as_os_str().to_owned();
+    s.push(suffix);
+    PathBuf::from(s)
+}
+
+/// One report line per quarantined trial.
+fn quarantine_lines(records: &[QuarantineRecord]) -> String {
+    records
+        .iter()
+        .map(|q| {
+            format!(
+                "\nquarantined trial {} (seed {}): {} after {} attempt(s)",
+                q.trial, q.seed, q.failure, q.attempts
+            )
+        })
+        .collect()
 }
 
 /// `distill sweep` — the crash-safe supervised variant of `run`:
@@ -686,41 +668,24 @@ fn parse_sweep_spec(args: &Args) -> Result<(SweepSpec, u64), CliError> {
 /// and watchdog timeouts. `--stream` trades the retained per-trial results
 /// for O(1)-memory streaming aggregation.
 pub fn sweep(args: &Args) -> Result<String, CliError> {
-    args.ensure_known(SWEEP_FLAGS)?;
+    args.ensure_known(&[SPEC_FLAGS, SWEEP_FLAGS].concat())?;
     let (spec, trials) = parse_sweep_spec(args)?;
-    let n = spec.n;
-    let m = spec.m;
-    let honest = spec.honest;
-    let goods = spec.goods;
-    let f = spec.f;
-    let algorithm = spec.algorithm.clone();
-    let adversary_name = spec.adversary.clone();
-    let alpha = f64::from(honest) / f64::from(n);
+    let stream = args.has("stream");
+    let streaming = if stream { " (streaming)" } else { "" };
+    let title = format!("sweep{streaming}: {}", spec.title(trials));
 
-    let checkpoint = args.flags.get("checkpoint").map(std::path::PathBuf::from);
+    let checkpoint = args.flags.get("checkpoint").map(PathBuf::from);
     let resume = args.has("resume");
     if resume && checkpoint.is_none() {
         return Err(err("--resume requires --checkpoint <path>"));
     }
-    let trial_timeout_secs: f64 = args.get_or("trial-timeout", 0.0)?;
-    if trial_timeout_secs < 0.0 || !trial_timeout_secs.is_finite() {
-        return Err(err(
-            "--trial-timeout must be a finite number of seconds >= 0",
-        ));
-    }
-    let quarantine = args
-        .flags
-        .get("quarantine")
-        .map(std::path::PathBuf::from)
-        .or_else(|| {
-            checkpoint.as_ref().map(|p| {
-                let mut q = p.as_os_str().to_owned();
-                q.push(".quarantine.jsonl");
-                std::path::PathBuf::from(q)
-            })
-        });
-    let out_path = args.flags.get("out").map(std::path::PathBuf::from);
-    let stream = args.has("stream");
+    let policy = parse_policy(args)?;
+    let quarantine = args.flags.get("quarantine").map(PathBuf::from).or_else(|| {
+        checkpoint
+            .as_ref()
+            .map(|p| suffixed(p, ".quarantine.jsonl"))
+    });
+    let out_path = args.flags.get("out").map(PathBuf::from);
     if stream {
         if checkpoint.is_some() || resume {
             return Err(err(
@@ -735,7 +700,7 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
         }
     }
 
-    let spec = std::sync::Arc::new(spec);
+    let spec = Arc::new(spec);
     let config = distill_harness::SweepConfig {
         trials,
         threads: args.get_or("threads", num_threads())?,
@@ -743,12 +708,7 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
         checkpoint_every: args.get_or("checkpoint-every", 8)?,
         resume,
         quarantine: quarantine.clone(),
-        policy: distill_harness::SupervisorPolicy {
-            max_retries: args.get_or("max-retries", 2)?,
-            trial_timeout: (trial_timeout_secs > 0.0)
-                .then(|| std::time::Duration::from_secs_f64(trial_timeout_secs)),
-            ..distill_harness::SupervisorPolicy::default()
-        },
+        policy,
         stop_after: None,
         retain_results: !stream,
     };
@@ -770,28 +730,11 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
         distill_harness::run_sweep(spec, &config).map_err(|e| err(e.to_string()))?
     };
 
-    // Canonical per-trial digest file: one line per completed trial with the
-    // FNV-1a hash of its encoded `SimResult`, so CI can diff a resumed sweep
-    // against an uninterrupted reference byte-for-byte.
     if let Some(path) = &out_path {
-        let mut text = String::new();
-        for (trial, result) in &report.results {
-            let mut w = distill_harness::Writer::new();
-            distill_harness::checkpoint::encode_sim_result(&mut w, result);
-            let digest = distill_harness::fnv1a64(&w.into_bytes());
-            text.push_str(&format!("trial {trial} {digest:016x}\n"));
-        }
-        std::fs::write(path, text).map_err(|e| err(format!("--out {}: {e}", path.display())))?;
+        write_digests(path, &report.results)?;
     }
 
-    let mut table = Table::new(
-        format!(
-            "sweep{}: {algorithm} vs {adversary_name} — n={n} m={m} honest={honest} \
-             (alpha={alpha:.3}) goods={goods} f={f} trials={trials}",
-            if stream { " (streaming)" } else { "" }
-        ),
-        &["metric", "value"],
-    );
+    let mut table = Table::new(title, &["metric", "value"]);
     table.row_owned(vec![
         "completed".into(),
         format!("{}/{trials}", report.completed),
@@ -858,12 +801,7 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
         ]);
     }
     let mut output = table.render();
-    for q in &report.quarantined {
-        output.push_str(&format!(
-            "\nquarantined trial {} (seed {}): {} after {} attempt(s)",
-            q.trial, q.seed, q.failure, q.attempts
-        ));
-    }
+    output.push_str(&quarantine_lines(&report.quarantined));
     if !report.quarantined.is_empty() {
         if let Some(qpath) = &quarantine {
             output.push_str(&format!("\nreplay records: {}", qpath.display()));
@@ -876,62 +814,48 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
     Ok(output)
 }
 
-/// The `--chunk` / `--lease-ttl` / retry / poll surface shared by the two
-/// fabric entry points, parsed and validated once.
-struct FabricFlags {
-    chunk: u64,
-    max_claims: u32,
-    lease_ttl_secs: f64,
-    lease_ttl_ms: u64,
-    checkpoint_every: u64,
-    trial_timeout_secs: f64,
-    policy: distill_harness::SupervisorPolicy,
-    poll: std::time::Duration,
-}
-
-fn parse_fabric_flags(args: &Args) -> Result<FabricFlags, CliError> {
-    let chunk: u64 = args.get_or("chunk", 16)?;
-    if chunk == 0 {
+/// Parses the fabric surface shared by `sweep-worker` and `sweep-supervise`
+/// into a validated worker configuration. The supervisor parses it too, so a
+/// bad flag fails before any worker is spawned, and it reads the queue
+/// geometry and its own poll interval from it.
+fn parse_worker_config(args: &Args, worker_id: u64, trials: u64) -> Result<WorkerConfig, CliError> {
+    let queue = args
+        .flags
+        .get("queue")
+        .map(PathBuf::from)
+        .ok_or_else(|| err(format!("{}: needs --queue <path>", args.command)))?;
+    let mut config = WorkerConfig::new(queue, worker_id, trials);
+    config.chunk_size = args.get_or("chunk", config.chunk_size)?;
+    if config.chunk_size == 0 {
         return Err(err("--chunk must be at least 1 trial"));
     }
-    let max_claims: u32 = args.get_or("max-claims", 2)?;
-    if max_claims == 0 {
+    config.max_claims = args.get_or("max-claims", config.max_claims)?;
+    if config.max_claims == 0 {
         return Err(err("--max-claims must be at least 1"));
     }
     let lease_ttl_secs: f64 = args.get_or("lease-ttl", 30.0)?;
     if !lease_ttl_secs.is_finite() || lease_ttl_secs <= 0.0 {
         return Err(err("--lease-ttl must be a finite number of seconds > 0"));
     }
-    let lease_ttl_ms = u64::try_from(
-        std::time::Duration::from_secs_f64(lease_ttl_secs)
-            .as_millis()
-            .max(1),
-    )
-    .unwrap_or(u64::MAX);
-    let checkpoint_every: u64 = args.get_or("checkpoint-every", 8)?;
-    let trial_timeout_secs: f64 = args.get_or("trial-timeout", 0.0)?;
-    if trial_timeout_secs < 0.0 || !trial_timeout_secs.is_finite() {
-        return Err(err(
-            "--trial-timeout must be a finite number of seconds >= 0",
-        ));
-    }
-    let policy = distill_harness::SupervisorPolicy {
-        max_retries: args.get_or("max-retries", 2)?,
-        trial_timeout: (trial_timeout_secs > 0.0)
-            .then(|| std::time::Duration::from_secs_f64(trial_timeout_secs)),
-        ..distill_harness::SupervisorPolicy::default()
-    };
-    let poll = std::time::Duration::from_millis(args.get_or("poll-ms", 50)?);
-    Ok(FabricFlags {
-        chunk,
-        max_claims,
-        lease_ttl_secs,
-        lease_ttl_ms,
-        checkpoint_every,
-        trial_timeout_secs,
-        policy,
-        poll,
-    })
+    config.lease_ttl_ms = u64::try_from(Duration::from_secs_f64(lease_ttl_secs).as_millis().max(1))
+        .unwrap_or(u64::MAX);
+    config.checkpoint_every = args.get_or("checkpoint-every", config.checkpoint_every)?;
+    config.policy = parse_policy(args)?;
+    config.poll = Duration::from_millis(args.get_or("poll-ms", 50)?);
+    // Per-worker quarantine file by default: concurrent processes never
+    // interleave writes into one JSONL.
+    config.quarantine = Some(match args.flags.get("quarantine") {
+        Some(path) => PathBuf::from(path),
+        None => suffixed(
+            &config.queue,
+            &format!(".worker{worker_id}.quarantine.jsonl"),
+        ),
+    });
+    // Test/CI hooks mirroring sweep's --inject-panic: stop early or "crash"
+    // (exit without completing the leased chunk).
+    config.stop_after_chunks = args.get("stop-after-chunks")?;
+    config.fail_after_trials = args.get("fail-after-trials")?;
+    Ok(config)
 }
 
 /// `distill sweep-worker` — one fabric worker process: claims chunked trial
@@ -942,55 +866,19 @@ fn parse_fabric_flags(args: &Args) -> Result<FabricFlags, CliError> {
 /// reclaimed and re-run, and the set-union merge deduplicates bit-exact
 /// duplicates).
 pub fn sweep_worker(args: &Args) -> Result<String, CliError> {
-    args.ensure_known(SWEEP_WORKER_FLAGS)?;
+    args.ensure_known(&[SPEC_FLAGS, FORWARDED_FLAGS, SWEEP_WORKER_FLAGS].concat())?;
     let (spec, trials) = parse_sweep_spec(args)?;
-    let queue = args
-        .flags
-        .get("queue")
-        .map(std::path::PathBuf::from)
-        .ok_or_else(|| err("sweep-worker: needs --queue <path>"))?;
-    let worker_id: u64 = args.get_or("worker-id", 0)?;
-    let fabric = parse_fabric_flags(args)?;
+    let config = parse_worker_config(args, args.get_or("worker-id", 0)?, trials)?;
 
-    let mut config = distill_harness::WorkerConfig::new(queue.clone(), worker_id, trials);
-    config.chunk_size = fabric.chunk;
-    config.max_claims = fabric.max_claims;
-    config.lease_ttl_ms = fabric.lease_ttl_ms;
-    config.checkpoint_every = fabric.checkpoint_every;
-    config.policy = fabric.policy;
-    config.poll = fabric.poll;
-    // Per-worker quarantine file by default: concurrent processes never
-    // interleave writes into one JSONL.
-    config.quarantine = Some(
-        args.flags
-            .get("quarantine")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                let mut q = queue.as_os_str().to_owned();
-                q.push(format!(".worker{worker_id}.quarantine.jsonl"));
-                std::path::PathBuf::from(q)
-            }),
-    );
-    // Test/CI hooks mirroring sweep's --inject-panic: stop early or "crash"
-    // (exit without completing the leased chunk).
-    config.stop_after_chunks = match args.flags.get("stop-after-chunks") {
-        None => None,
-        Some(_) => Some(args.get_or("stop-after-chunks", 0u64)?),
-    };
-    config.fail_after_trials = match args.flags.get("fail-after-trials") {
-        None => None,
-        Some(_) => Some(args.get_or("fail-after-trials", 0u64)?),
-    };
-
-    let report = distill_harness::run_worker(std::sync::Arc::new(spec), &config)
-        .map_err(|e| err(e.to_string()))?;
+    let report =
+        distill_harness::run_worker(Arc::new(spec), &config).map_err(|e| err(e.to_string()))?;
     let mut table = Table::new(
         format!(
             "sweep-worker {} — queue {} ({} trials, chunk {})",
             report.worker_id,
-            queue.display(),
+            config.queue.display(),
             trials,
-            fabric.chunk
+            config.chunk_size
         ),
         &["metric", "value"],
     );
@@ -1020,16 +908,23 @@ pub fn sweep_worker(args: &Args) -> Result<String, CliError> {
     ]);
     table.row_owned(vec!["queue fully done".into(), report.finished.to_string()]);
     let mut output = table.render();
-    for q in &report.quarantined {
-        output.push_str(&format!(
-            "\nquarantined trial {} (seed {}): {} after {} attempt(s)",
-            q.trial, q.seed, q.failure, q.attempts
-        ));
-    }
+    output.push_str(&quarantine_lines(&report.quarantined));
     // Quarantined trials are NOT an error exit here: the cross-process
     // claim budget decides chunk fate, and the supervisor's merge reports
     // the sweep-level verdict. A worker that ran at all did its job.
     Ok(output)
+}
+
+/// The queue file's current snapshot, or `None` while it is missing or
+/// unreadable. A lock-free read: the file is atomically renamed into place,
+/// so a plain read sees a consistent snapshot. It decodes the bytes rather
+/// than calling `LeaseQueue::load`, because load sweeps `.tmp` siblings, and
+/// an unlocked sweeper would delete a live worker's scratch file out from
+/// under its rename.
+fn read_queue(path: &Path) -> Option<LeaseQueue> {
+    std::fs::read(path)
+        .ok()
+        .and_then(|bytes| LeaseQueue::decode(&bytes).ok())
 }
 
 /// `distill sweep-supervise` — the `loopr`-style dumb supervisor: spawn
@@ -1039,61 +934,34 @@ pub fn sweep_worker(args: &Args) -> Result<String, CliError> {
 /// All state lives in files: kill -9 this supervisor (or any worker) and a
 /// fresh invocation resumes exactly where the fabric left off.
 pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
-    args.ensure_known(SWEEP_SUPERVISE_FLAGS)?;
+    args.ensure_known(&[SPEC_FLAGS, FORWARDED_FLAGS, SWEEP_SUPERVISE_FLAGS].concat())?;
     let (spec, trials) = parse_sweep_spec(args)?;
-    let queue = args
-        .flags
-        .get("queue")
-        .map(std::path::PathBuf::from)
-        .ok_or_else(|| err("sweep-supervise: needs --queue <path>"))?;
+    let fabric = parse_worker_config(args, 0, trials)?;
+    let queue = &fabric.queue;
     let workers: u64 = args.get_or("workers", 3)?;
     if workers == 0 {
         return Err(err("--workers must be at least 1"));
     }
     let max_restarts: u64 = args.get_or("max-restarts", 16)?;
-    let fabric = parse_fabric_flags(args)?;
-    let out_path = args.flags.get("out").map(std::path::PathBuf::from);
-    let merged_path = args.flags.get("merged").map(std::path::PathBuf::from);
+    let out_path = args.flags.get("out").map(PathBuf::from);
+    let merged_path = args.flags.get("merged").map(PathBuf::from);
 
-    // Workers get the spec re-serialized from the parsed values (not the
-    // raw argv), so supervisor and workers agree on the fingerprint by
-    // construction.
+    // The queue and every worker checkpoint must belong to this sweep: a
+    // queue another sweep drained would otherwise read as "done" at once and
+    // its results would be merged as this sweep's.
+    let fingerprint = distill_harness::fingerprint_of(&spec);
+    let this_sweep =
+        |q: &LeaseQueue| q.validate_for(fingerprint, trials, fabric.chunk_size, fabric.max_claims);
+    if let Some(q) = read_queue(queue) {
+        this_sweep(&q).map_err(|e| err(format!("--queue {}: {e}", queue.display())))?;
+    }
+
+    // Workers get the spec and fabric flags exactly as given; each parses
+    // them with the same functions as this supervisor, so both agree on the
+    // fingerprint and on every default.
     let mut worker_argv: Vec<String> = vec!["sweep-worker".into()];
-    let mut push = |flag: &str, value: String| {
-        worker_argv.push(format!("--{flag}"));
-        worker_argv.push(value);
-    };
-    push("n", spec.n.to_string());
-    push("m", spec.m.to_string());
-    push("honest", spec.honest.to_string());
-    push("goods", spec.goods.to_string());
-    push("algorithm", spec.algorithm.clone());
-    push("adversary", spec.adversary.clone());
-    push("trials", trials.to_string());
-    push("seed", spec.seed.to_string());
-    push("f", spec.f.to_string());
-    push("error-rate", spec.error_rate.to_string());
-    push("max-rounds", spec.max_rounds.to_string());
-    push("drop-rate", spec.faults.drop_rate.to_string());
-    push("view-lag", spec.faults.view_lag.to_string());
-    push("crash-rate", spec.faults.crash_rate.to_string());
-    push("crash-window", spec.faults.crash_window.to_string());
-    push("recovery-rate", spec.faults.recovery_rate.to_string());
-    if let Some(t) = spec.inject_panic {
-        push("inject-panic", t.to_string());
-    }
-    push("queue", queue.display().to_string());
-    push("chunk", fabric.chunk.to_string());
-    push("max-claims", fabric.max_claims.to_string());
-    push("lease-ttl", fabric.lease_ttl_secs.to_string());
-    push("checkpoint-every", fabric.checkpoint_every.to_string());
-    push("max-retries", fabric.policy.max_retries.to_string());
-    push("trial-timeout", fabric.trial_timeout_secs.to_string());
-    for hook in ["stop-after-chunks", "fail-after-trials"] {
-        if args.flags.contains_key(hook) {
-            push(hook, args.get_or(hook, 0u64)?.to_string());
-        }
-    }
+    worker_argv.extend(args.forward(SPEC_FLAGS));
+    worker_argv.extend(args.forward(FORWARDED_FLAGS));
 
     let exe = std::env::current_exe().map_err(|e| {
         err(format!(
@@ -1115,19 +983,9 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
                 .stdout(std::process::Stdio::null())
                 .spawn()
         },
-        // Lock-free done probe: the queue file is atomically renamed into
-        // place, so a plain read sees a consistent snapshot; any error
-        // (missing, mid-rebuild) just means "not done yet". Read + decode
-        // rather than `LeaseQueue::load`: load sweeps `.tmp` siblings, and
-        // an unlocked sweeper would delete a live worker's scratch file
-        // out from under its rename.
-        || {
-            std::fs::read(&queue)
-                .ok()
-                .and_then(|bytes| distill_harness::LeaseQueue::decode(&bytes).ok())
-                .map(|q| q.all_done())
-                .unwrap_or(false)
-        },
+        // Any read or decode error (missing, mid-rebuild) just means "not
+        // done yet".
+        || read_queue(queue).is_some_and(|q| this_sweep(&q).is_ok() && q.all_done()),
     )
     .map_err(|e| err(e.to_string()))?;
 
@@ -1138,12 +996,12 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
     // belong to a chunk the queue never saw done, so salvage drops them.
     let mut parts = Vec::new();
     for id in 0..workers {
-        let path = distill_harness::worker_checkpoint_path(&queue, id);
+        let path = distill_harness::worker_checkpoint_path(queue, id);
         if path.exists() {
-            parts.push(
-                distill_harness::Checkpoint::load_salvaged(&path)
-                    .map_err(|e| err(format!("worker {id} checkpoint: {e}")))?,
-            );
+            let part = distill_harness::Checkpoint::load_salvaged(&path)
+                .and_then(|ck| ck.validate_for(fingerprint, trials).map(|()| ck))
+                .map_err(|e| err(format!("worker {id} checkpoint: {e}")))?;
+            parts.push(part);
         }
     }
     if parts.is_empty() {
@@ -1154,14 +1012,7 @@ pub fn sweep_supervise(args: &Args) -> Result<String, CliError> {
     let merged = distill_harness::merge_checkpoints(&parts).map_err(|e| err(e.to_string()))?;
 
     if let Some(path) = &out_path {
-        let mut text = String::new();
-        for (trial, result) in &merged.completed {
-            let mut w = distill_harness::Writer::new();
-            distill_harness::checkpoint::encode_sim_result(&mut w, result);
-            let digest = distill_harness::fnv1a64(&w.into_bytes());
-            text.push_str(&format!("trial {trial} {digest:016x}\n"));
-        }
-        std::fs::write(path, text).map_err(|e| err(format!("--out {}: {e}", path.display())))?;
+        write_digests(path, &merged.completed)?;
     }
     if let Some(path) = &merged_path {
         merged
@@ -1247,18 +1098,23 @@ pub fn run_gauntlet(args: &Args) -> Result<String, CliError> {
         &["adversary", "mean cost", "mean rounds", "all satisfied"],
     );
     for entry in gauntlet() {
-        let results = run_trials_threaded(trials, num_threads(), |t| {
-            let world = World::binary(n, goods, seed.wrapping_add(7_000).wrapping_add(t))
-                .expect("validated world");
-            let cohort =
-                make_cohort(&algorithm, n, n, alpha, world.beta()).expect("validated algorithm");
-            let config = SimConfig::new(n, honest, seed.wrapping_add(t))
-                .with_stop(StopRule::all_satisfied(1_000_000));
-            Engine::new(config, &world, cohort, (entry.make)())
-                .expect("validated configuration")
-                .run()
-                .expect("engine run on validated inputs")
-        });
+        let results = run_trials_scoped(
+            trials,
+            num_threads(),
+            || (),
+            |(), t| {
+                let world = World::binary(n, goods, seed.wrapping_add(7_000).wrapping_add(t))
+                    .expect("validated world");
+                let cohort = make_cohort(&algorithm, n, n, alpha, world.beta())
+                    .expect("validated algorithm");
+                let config = SimConfig::new(n, honest, seed.wrapping_add(t))
+                    .with_stop(StopRule::all_satisfied(1_000_000));
+                Engine::new(config, &world, cohort, (entry.make)())
+                    .expect("validated configuration")
+                    .run()
+                    .expect("engine run on validated inputs")
+            },
+        );
         let cost = results.iter().map(|r| r.mean_probes()).sum::<f64>() / results.len() as f64;
         let rounds = results.iter().map(|r| r.rounds as f64).sum::<f64>() / results.len() as f64;
         let ok = results.iter().all(|r| r.all_satisfied);
@@ -1591,24 +1447,6 @@ const BENCH_STORE_FLAGS: &[&str] = &[
     "inject-regression",
 ];
 
-/// Escapes a string for the deterministic JSON output (same convention as
-/// distill-lint's report writer).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A float as a JSON token: finite values print their shortest round-trip
 /// form, everything else (NaN, ±inf, absent) is `null` — strict parsers
 /// reject bare non-finite literals.
@@ -1685,7 +1523,7 @@ fn bench_store_append(
         return Ok(format!(
             "{{\n  \"tool\": \"distill-bench-store\",\n  \"version\": 1,\n  \
              \"store\": \"{}\",\n  \"existing\": {},\n  \"added\": {},\n  \"total\": {}\n}}",
-            json_escape(&store_path.display().to_string()),
+            escape_json(&store_path.display().to_string()),
             outcome.existing,
             outcome.added,
             outcome.store.len(),
@@ -1728,11 +1566,11 @@ fn bench_store_query(
                 "\n    {{\"bench_id\": \"{}\", \"commit\": \"{}\", \"timestamp\": {}, \
                  \"kind\": \"{}\", \"unit\": \"{}\", \"mean\": {}, \"median\": {}, \
                  \"min\": {}, \"samples\": {}}}{}",
-                json_escape(&r.bench_id),
-                json_escape(&r.commit),
+                escape_json(&r.bench_id),
+                escape_json(&r.commit),
                 r.timestamp,
                 r.kind,
-                json_escape(&r.unit),
+                escape_json(&r.unit),
                 json_num(Some(r.mean)),
                 json_num(Some(r.median)),
                 json_num(Some(r.min)),
@@ -1856,9 +1694,9 @@ fn bench_store_diff(
                  \"baseline_points\": {}, \"baseline_min\": {}, \"baseline_median\": {}, \
                  \"current_min\": {}, \"current_median\": {}, \"min_ratio\": {}, \
                  \"status\": \"{}\"}}{}",
-                json_escape(&v.bench_id),
+                escape_json(&v.bench_id),
                 v.kind,
-                json_escape(&v.unit),
+                escape_json(&v.unit),
                 v.baseline_points,
                 json_num(v.baseline_min),
                 json_num(v.baseline_median),
@@ -2217,17 +2055,8 @@ mod tests {
             .collect();
         let merged = distill_harness::merge_checkpoints(&parts).unwrap();
         assert_eq!(merged.completed.len(), 6);
-        let mut digests = String::new();
-        for (trial, result) in &merged.completed {
-            let mut w = distill_harness::Writer::new();
-            distill_harness::checkpoint::encode_sim_result(&mut w, result);
-            digests.push_str(&format!(
-                "trial {trial} {:016x}\n",
-                distill_harness::fnv1a64(&w.into_bytes())
-            ));
-        }
         assert_eq!(
-            digests,
+            digest_lines(&merged.completed),
             std::fs::read_to_string(&out_ref).unwrap(),
             "fabric merge must be bit-identical to the single-process sweep"
         );
@@ -2341,6 +2170,7 @@ mod tests {
 
     #[test]
     fn run_rejects_nonsense() {
+        assert!(dispatch(&parse(&["run", "--trials", "0"])).is_err());
         assert!(dispatch(&parse(&["run", "--algorithm", "nope"])).is_err());
         assert!(dispatch(&parse(&["run", "--adversary", "nope"])).is_err());
         assert!(dispatch(&parse(&["run", "--honest", "0"])).is_err());
@@ -2355,6 +2185,66 @@ mod tests {
         .is_err());
         assert!(dispatch(&parse(&["run", "--bogus-flag", "1"])).is_err());
         assert!(dispatch(&parse(&["frobnicate"])).is_err());
+    }
+
+    /// `run` and `sweep` build every trial from the same parsed spec, so on
+    /// a spec that sets every simulation flag they report the same mean
+    /// cost and satisfied count.
+    #[test]
+    fn run_and_sweep_agree_on_a_non_default_spec() {
+        let spec = [
+            "--n",
+            "48",
+            "--m",
+            "60",
+            "--honest",
+            "40",
+            "--goods",
+            "2",
+            "--trials",
+            "5",
+            "--seed",
+            "13",
+            "--f",
+            "2",
+            "--error-rate",
+            "0.05",
+            "--max-rounds",
+            "300",
+            "--drop-rate",
+            "0.1",
+            "--view-lag",
+            "1",
+            "--crash-rate",
+            "0.2",
+            "--crash-window",
+            "8",
+            "--recovery-rate",
+            "0.1",
+            "--algorithm",
+            "balance",
+            "--adversary",
+            "collusive",
+        ];
+        let cell = |out: &str, label: &str, from_end: usize| -> String {
+            let row = out
+                .lines()
+                .find(|l| l.contains(label))
+                .unwrap_or_else(|| panic!("no {label:?} row in:\n{out}"));
+            let cells: Vec<&str> = row.split_whitespace().collect();
+            cells[cells.len() - 1 - from_end].to_string()
+        };
+        let run_out = dispatch(&parse(&[&["run"], &spec[..]].concat())).unwrap();
+        let sweep_out = dispatch(&parse(&[&["sweep"], &spec[..]].concat())).unwrap();
+        // run's rows are `label | mean | min | max`, sweep's `label | value`.
+        assert_eq!(
+            cell(&run_out, "individual cost (probes)", 2),
+            cell(&sweep_out, "mean individual cost", 0)
+        );
+        assert_eq!(
+            cell(&run_out, "trials fully satisfied", 2),
+            cell(&sweep_out, "trials fully satisfied", 0)
+        );
     }
 
     /// A population past the u32 id space must fail with the typed id-space

@@ -160,3 +160,131 @@ fn single_worker_process_drains_the_queue() {
     assert!(out.contains("true"), "{out}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A supervisor pointed at the files of another sweep refuses them instead
+/// of reporting that sweep's results as its own: a queue another seed
+/// drained would otherwise read as done at once, and worker checkpoints
+/// left without their queue would otherwise be merged.
+#[test]
+fn supervisor_refuses_another_sweeps_queue_and_checkpoints() {
+    let dir = tmp_dir("stale");
+    let queue = dir.join("sweep.queue");
+    let queue_s = queue.display().to_string();
+    let digests = dir.join("cluster.digests");
+    let digests_s = digests.display().to_string();
+    let supervise = |seed: &str| {
+        let args = [
+            "sweep-supervise",
+            "--queue",
+            &queue_s,
+            "--n",
+            "16",
+            "--honest",
+            "14",
+            "--trials",
+            "8",
+            "--seed",
+            seed,
+            "--workers",
+            "2",
+            "--poll-ms",
+            "10",
+            "--max-restarts",
+            "0",
+            "--out",
+            &digests_s,
+        ];
+        Command::new(bin()).args(args).output().unwrap()
+    };
+    let first = supervise("1");
+    assert!(first.status.success(), "{first:?}");
+    std::fs::remove_file(&digests).unwrap();
+
+    let stale_queue = supervise("2");
+    assert_eq!(stale_queue.status.code(), Some(1), "{stale_queue:?}");
+    assert!(
+        String::from_utf8_lossy(&stale_queue.stderr).contains("different sweep"),
+        "{stale_queue:?}"
+    );
+    assert!(!digests.exists(), "a refused sweep must write no digests");
+
+    // Without the queue, the workers refuse their own stale checkpoints and
+    // the merge must refuse them too.
+    std::fs::remove_file(&queue).unwrap();
+    let stale_checkpoints = supervise("2");
+    assert_eq!(
+        stale_checkpoints.status.code(),
+        Some(1),
+        "{stale_checkpoints:?}"
+    );
+    assert!(!digests.exists(), "a refused merge must write no digests");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `sweep-supervise` hands every spec flag on to its workers as given: with
+/// a non-default value for each, the merged digests equal a single-process
+/// `sweep` of the same spec.
+#[test]
+fn supervisor_forwards_every_spec_flag() {
+    let dir = tmp_dir("forward");
+    let spec = [
+        "--n",
+        "24",
+        "--m",
+        "30",
+        "--honest",
+        "20",
+        "--goods",
+        "2",
+        "--trials",
+        "6",
+        "--seed",
+        "5",
+        "--f",
+        "2",
+        "--error-rate",
+        "0.05",
+        "--max-rounds",
+        "300",
+        "--drop-rate",
+        "0.1",
+        "--view-lag",
+        "1",
+        "--crash-rate",
+        "0.25",
+        "--crash-window",
+        "6",
+        "--recovery-rate",
+        "0.2",
+        "--algorithm",
+        "balance",
+        "--adversary",
+        "collusive",
+    ];
+    let reference = dir.join("reference.digests");
+    let reference_s = reference.display().to_string();
+    run_ok(&[&["sweep"], &spec[..], &["--out", &reference_s]].concat());
+
+    let queue_s = dir.join("sweep.queue").display().to_string();
+    let digests = dir.join("cluster.digests");
+    let digests_s = digests.display().to_string();
+    let fabric = [
+        "--queue",
+        &queue_s,
+        "--workers",
+        "2",
+        "--chunk",
+        "2",
+        "--poll-ms",
+        "10",
+        "--out",
+        &digests_s,
+    ];
+    let out = run_ok(&[&["sweep-supervise"], &spec[..], &fabric[..]].concat());
+    assert!(out.contains("6/6"), "{out}");
+    assert_eq!(
+        std::fs::read_to_string(&digests).unwrap(),
+        std::fs::read_to_string(&reference).unwrap()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -3,7 +3,7 @@
 //!
 //! The idiom is the classic tmp/fsync/rename dance: encode in memory, write
 //! to a *process-unique* sibling (`<path>.tmp.<pid>`), `fsync`, then
-//! `rename(2)` over the target. A process killed at any instant leaves
+//! `rename(2)` over the target and `fsync` the directory that holds it. A process killed at any instant leaves
 //! either the previous complete file or the new complete file at `path`,
 //! never a torn hybrid — but it *can* leave the orphaned `*.tmp.*` sibling
 //! behind if the kill lands between create and rename. [`sweep_stale_tmp`]
@@ -49,12 +49,23 @@ fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(s)
 }
 
-/// Writes `bytes` to `path` atomically: create `<path>.tmp.<pid>`, write,
-/// fsync, rename over `path`.
+/// The directory holding `path` (`.` for a bare file name).
+fn parent_dir(path: &Path) -> PathBuf {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir.to_path_buf(),
+        _ => PathBuf::from("."),
+    }
+}
+
+/// Writes `bytes` to `path` atomically and durably: create
+/// `<path>.tmp.<pid>`, write, fsync, rename over `path`, then (on unix)
+/// fsync the parent directory. The rename lives in the directory, not in
+/// the file, so without that last fsync a power cut can roll the directory
+/// back and lose the new file or the replacement.
 ///
 /// # Errors
-/// [`AtomicIoError`] naming the scratch file (create/write/fsync failures)
-/// or the target (rename failures).
+/// [`AtomicIoError`] naming the scratch file (create/write/fsync failures),
+/// the target (rename failures) or the directory (its fsync).
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), AtomicIoError> {
     let tmp = tmp_path(path);
     let err = |p: &Path, e: std::io::Error| AtomicIoError {
@@ -65,7 +76,15 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), AtomicIoError> {
     file.write_all(bytes).map_err(|e| err(&tmp, e))?;
     file.sync_all().map_err(|e| err(&tmp, e))?;
     drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| err(path, e))
+    std::fs::rename(&tmp, path).map_err(|e| err(path, e))?;
+    #[cfg(unix)]
+    {
+        let dir = parent_dir(path);
+        std::fs::File::open(&dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| err(&dir, e))?;
+    }
+    Ok(())
 }
 
 /// Removes orphaned scratch files next to `path`: every sibling whose name
@@ -82,10 +101,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), AtomicIoError> {
 /// cannot be removed; an absent parent directory is reported as-is by the
 /// directory read.
 pub fn sweep_stale_tmp(path: &Path) -> Result<usize, AtomicIoError> {
-    let parent = match path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
+    let parent = parent_dir(path);
     let Some(target_name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
         return Ok(0);
     };

@@ -42,8 +42,11 @@ pub struct QuarantineRecord {
     pub lease: Option<u64>,
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
+/// Escapes `s` for embedding in a JSON string literal: quote, backslash and
+/// every control character, the latter as `\uXXXX` unless it has a short
+/// form. The runtime's one JSON escaper (quarantine records and the CLI's
+/// `bench-store --format json` output).
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -1011,7 +1011,7 @@ mod tests {
         let handle = {
             let queue = queue.clone();
             let clock = Arc::clone(&clock);
-            std::thread::spawn(move || acquire_lock(&queue, &clock).map(|l| drop(l)))
+            std::thread::spawn(move || acquire_lock(&queue, &clock).map(drop))
         };
         std::thread::sleep(Duration::from_millis(20));
         assert!(!handle.is_finished(), "must wait for the live lock");

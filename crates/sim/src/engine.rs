@@ -4,7 +4,7 @@ use crate::adversary::{Adversary, AdversaryCtx, InfoModel};
 use crate::cohort::{Cohort, Directive};
 use crate::config::{SimConfig, StopRule};
 use crate::error::SimError;
-use crate::faults::{FaultCounters, FaultPlan};
+use crate::faults::{Churn, CrashSchedule, FaultCounters};
 use crate::metrics::{FinalEval, PlayerOutcome, SimResult};
 use crate::object_model::ObjectModel;
 use crate::rng::{stream_rng, Stream};
@@ -43,11 +43,11 @@ struct HonestProbe {
 ///    the honest round-`r` posts; otherwise it sees only rounds `< r`;
 /// 4. all round-`r` posts are appended and ingested.
 ///
-/// When the config carries a non-noop [`FaultPlan`], the engine additionally
-/// processes crash/recovery churn at each round start, serves honest reads
-/// from a lagged view, and may drop honest posts — all driven by the
-/// dedicated [`Stream::Faults`] RNG, so the no-fault path is bit-identical
-/// to an engine without the fault layer.
+/// When the config carries a non-noop [`FaultPlan`](crate::FaultPlan), the
+/// engine additionally processes crash/recovery churn at each round start,
+/// serves honest reads from a lagged view, and may drop honest posts — all
+/// driven by the dedicated [`Stream::Faults`] RNG, so the no-fault path is
+/// bit-identical to an engine without the fault layer.
 pub struct Engine<'w> {
     config: SimConfig,
     world: &'w World,
@@ -86,18 +86,8 @@ pub struct Engine<'w> {
     /// Fault-injection coins (dedicated stream; never touched by the
     /// no-fault path).
     faults_rng: SmallRng,
-    /// Predetermined crash events `(round, player)`, sorted ascending; the
-    /// cursor marks the first event that has not fired yet. Each event fires
-    /// exactly once, so churn costs O(crashed + due) per round instead of an
-    /// O(n) schedule rescan.
-    crash_events: Vec<(u64, u32)>,
-    crash_cursor: usize,
-    /// Whether each honest player is currently crashed (bitmap plane).
-    crashed: BitSet,
-    /// Currently-crashed players, ascending — the recovery-coin draw order.
-    crashed_list: Vec<u32>,
-    /// Reused per-round output buffer for rebuilding `crashed_list`.
-    churn_scratch: Vec<u32>,
+    /// Crash and recovery churn, in rounds.
+    crashes: CrashSchedule,
     /// Crashed players that are not satisfied — with recovery disabled these
     /// are terminal, and the all-satisfied stop rule treats them as such.
     n_crashed_unsatisfied: u32,
@@ -196,13 +186,8 @@ impl<'w> Engine<'w> {
             .collect();
         let adv_rng = stream_rng(config.seed, Stream::Adversary);
         let mut faults_rng = stream_rng(config.seed, Stream::Faults);
-        let mut crash_events = Vec::new();
-        Self::draw_crash_schedule(
-            &config.faults,
-            &mut faults_rng,
-            &mut crash_events,
-            config.n_honest,
-        );
+        let mut crashes = CrashSchedule::new(config.n_honest);
+        crashes.draw(&config.faults, &mut faults_rng, config.n_honest);
         let lagged_tracker =
             (config.faults.view_lag > 0).then(|| VoteTracker::new(n, m, config.policy));
         let dishonest = config.dishonest_players();
@@ -247,40 +232,11 @@ impl<'w> Engine<'w> {
             probe_buf: Vec::with_capacity(n_honest),
             open_window_start: None,
             faults_rng,
-            crash_events,
-            crash_cursor: 0,
-            crashed: BitSet::new(n_honest),
-            crashed_list: Vec::new(),
-            churn_scratch: Vec::new(),
+            crashes,
             n_crashed_unsatisfied: 0,
             fault_counters: FaultCounters::default(),
             lagged_tracker,
         })
-    }
-
-    /// Fills `out` with the predetermined crash events, one per player that
-    /// will ever crash, sorted by `(round, player)`. Coins are drawn in
-    /// ascending player order (the deterministic draw sequence: one coin per
-    /// player, plus a round draw only for crashers). `crash_rate` is the
-    /// probability of ever crashing; the crash round is uniform over
-    /// `[0, crash_window)`, which is what makes the effective honest fraction
-    /// α′ = α·(1 − crash_rate) once the window has passed.
-    fn draw_crash_schedule(
-        plan: &FaultPlan,
-        rng: &mut SmallRng,
-        out: &mut Vec<(u64, u32)>,
-        n_honest: u32,
-    ) {
-        out.clear();
-        if plan.crash_rate <= 0.0 {
-            return;
-        }
-        for p in 0..n_honest {
-            if rng.gen::<f64>() < plan.crash_rate {
-                out.push((rng.gen_range(0..plan.crash_window), p));
-            }
-        }
-        out.sort_unstable();
     }
 
     /// Capacity reserved up front for the per-round satisfaction curve, so a
@@ -460,15 +416,11 @@ impl<'w> Engine<'w> {
         }
         self.adv_rng = stream_rng(seed, Stream::Adversary);
         self.faults_rng = stream_rng(seed, Stream::Faults);
-        Self::draw_crash_schedule(
+        self.crashes.draw(
             &self.config.faults,
             &mut self.faults_rng,
-            &mut self.crash_events,
             self.config.n_honest,
         );
-        self.crash_cursor = 0;
-        self.crashed.reset(n_honest);
-        self.crashed_list.clear();
         self.n_crashed_unsatisfied = 0;
         self.fault_counters = FaultCounters::default();
         if let Some(lt) = self.lagged_tracker.as_mut() {
@@ -544,7 +496,7 @@ impl<'w> Engine<'w> {
             let directive = self.cohort.directive(&view);
             for idx in 0..self.active_players.len() {
                 let p = self.active_players[idx];
-                if churn && self.crashed.contains(p as usize) {
+                if churn && self.crashes.is_crashed(p) {
                     continue;
                 }
                 let rng = &mut self.player_rngs[p as usize];
@@ -763,93 +715,45 @@ impl<'w> Engine<'w> {
     }
 
     /// Applies this round's crash and recovery events (only called when the
-    /// fault plan has churn enabled).
-    ///
-    /// Crashes fire when the player's predetermined crash round is reached
-    /// (`<=` so schedules starting before a pre-satisfied run's first round
-    /// still fire); each event fires exactly once, so a recovered player
-    /// never re-crashes. Recovery is a per-round geometric draw. Satisfied
-    /// players can crash too (the machine dies either way) but only
-    /// unsatisfied crashes count toward the terminal-player total the stop
-    /// rule uses.
-    ///
-    /// The old flag-array walk cost O(n) per round; this merge walks only the
-    /// currently-crashed players (recovery coins, ascending — the exact coin
-    /// draw order of the old loop, which drew coins *only* for crashed
-    /// players) interleaved with the due crash events in player order, so the
-    /// trace and counter sequence is bit-identical at O(crashed + due).
+    /// fault plan has churn enabled). Satisfied players can crash too (the
+    /// machine dies either way), but only unsatisfied crashes count toward
+    /// the terminal-player total the stop rule uses.
     // lint: hot
     fn process_churn(&mut self, round: Round) {
-        let recovery = self.config.faults.recovery_rate;
-        let start = self.crash_cursor;
-        let mut end = start;
-        while end < self.crash_events.len() && self.crash_events[end].0 <= round.as_u64() {
-            end += 1;
-        }
-        self.crash_cursor = end;
-        if end - start > 1 {
-            // A batch from a single round is already player-sorted; one that
-            // spans several rounds (possible only on the first churn of a
-            // pre-seeded run, which starts past round 0) needs the player
-            // order restored.
-            self.crash_events[start..end].sort_unstable_by_key(|&(_, p)| p);
-        }
-        if end == start && self.crashed_list.is_empty() {
-            return;
-        }
-        let mut next_list = std::mem::take(&mut self.churn_scratch);
-        next_list.clear();
-        let mut ci = 0;
-        let mut di = start;
-        loop {
-            let next_crashed = self.crashed_list.get(ci).copied();
-            let next_due = (di < end).then(|| self.crash_events[di].1);
-            let crash_now = match (next_crashed, next_due) {
-                (None, None) => break,
-                (Some(_), None) => false,
-                (None, Some(_)) => true,
-                (Some(c), Some(d)) => d < c,
-            };
-            if crash_now {
-                let p = self.crash_events[di].1;
-                di += 1;
-                self.crashed.insert(p as usize);
-                if !self.satisfied.contains(p as usize) {
-                    self.n_crashed_unsatisfied += 1;
+        self.crashes.advance(
+            round.as_u64(),
+            self.config.faults.recovery_rate,
+            &mut self.faults_rng,
+            &mut self.fault_counters,
+            |event| match event {
+                Churn::Crashed(p) => {
+                    if !self.satisfied.contains(p as usize) {
+                        self.n_crashed_unsatisfied += 1;
+                    }
+                    let outcome = &mut self.outcomes[p as usize];
+                    if outcome.crash_round.is_none() {
+                        outcome.crash_round = Some(round);
+                    }
+                    if let Some(t) = self.trace.as_mut() {
+                        t.push(TraceEvent::PlayerCrashed {
+                            round,
+                            player: PlayerId(p),
+                        });
+                    }
                 }
-                self.fault_counters.crashes += 1;
-                if self.outcomes[p as usize].crash_round.is_none() {
-                    self.outcomes[p as usize].crash_round = Some(round);
-                }
-                if let Some(t) = self.trace.as_mut() {
-                    t.push(TraceEvent::PlayerCrashed {
-                        round,
-                        player: PlayerId(p),
-                    });
-                }
-                next_list.push(p);
-            } else {
-                let p = self.crashed_list[ci];
-                ci += 1;
-                if recovery > 0.0 && self.faults_rng.gen::<f64>() < recovery {
-                    self.crashed.remove(p as usize);
+                Churn::Recovered(p) => {
                     if !self.satisfied.contains(p as usize) {
                         self.n_crashed_unsatisfied -= 1;
                     }
-                    self.fault_counters.recoveries += 1;
                     if let Some(t) = self.trace.as_mut() {
                         t.push(TraceEvent::PlayerRecovered {
                             round,
                             player: PlayerId(p),
                         });
                     }
-                } else {
-                    next_list.push(p);
                 }
-            }
-        }
-        std::mem::swap(&mut self.crashed_list, &mut next_list);
-        self.churn_scratch = next_list;
+            },
+        );
     }
 
     fn advice_probe(
@@ -931,6 +835,7 @@ mod tests {
     use super::*;
     use crate::adversary::{DishonestPost, NullAdversary};
     use crate::cohort::{CandidateSet, PhaseInfo};
+    use crate::faults::FaultPlan;
     use distill_billboard::VotePolicy;
 
     /// Probe uniformly at random every round.

@@ -23,6 +23,15 @@
 //! all faults disabled (the [`Default`]) leaves no-fault executions
 //! bit-identical to an engine without the fault layer, and per-player
 //! probe/error streams stay independent of the fault schedule.
+//!
+//! Both engines run crash churn through one [`CrashSchedule`]: the same
+//! draw, the same due cursor and the same crash/recovery merge, so the sync
+//! and async models differ only in what a crash or a recovery does to their
+//! own state.
+
+use distill_billboard::BitSet;
+use rand::rngs::SmallRng;
+use rand::Rng;
 
 /// Configuration of the fault layer, carried on
 /// [`SimConfig`](crate::config::SimConfig).
@@ -153,6 +162,152 @@ impl FaultCounters {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.posts_dropped == 0 && self.crashes == 0 && self.recoveries == 0
+    }
+}
+
+/// One crash or recovery that [`CrashSchedule::advance`] has just applied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Churn {
+    /// The player crashed (each player crashes at most once).
+    Crashed(u32),
+    /// The crashed player rejoined.
+    Recovered(u32),
+}
+
+/// The crash-churn state of one execution: the predetermined crash events,
+/// the cursor over the ones that have fired, and who is crashed now.
+///
+/// Every buffer is reused across [`draw`](CrashSchedule::draw)s, and
+/// [`advance`](CrashSchedule::advance) allocates nothing once the crashed
+/// list has reached its peak size.
+#[derive(Debug, Clone)]
+pub(crate) struct CrashSchedule {
+    /// Crash events `(time, player)`, sorted ascending; `cursor` marks the
+    /// first that has not fired. Each fires exactly once, so a recovered
+    /// player never re-crashes and churn costs O(crashed + due) per tick
+    /// instead of an O(n) rescan.
+    events: Vec<(u64, u32)>,
+    cursor: usize,
+    /// Whether each honest player is crashed now (bitmap plane).
+    crashed: BitSet,
+    /// Crashed players, ascending: the recovery-coin draw order.
+    crashed_list: Vec<u32>,
+    /// Output buffer for rebuilding `crashed_list`.
+    scratch: Vec<u32>,
+}
+
+impl CrashSchedule {
+    /// An empty schedule for `n_honest` players: nobody ever crashes.
+    pub(crate) fn new(n_honest: u32) -> Self {
+        CrashSchedule {
+            events: Vec::new(),
+            cursor: 0,
+            crashed: BitSet::new(n_honest as usize),
+            crashed_list: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Clears all churn state and draws the crash events of a fresh
+    /// execution, one per player that will ever crash. Coins are drawn in
+    /// ascending player order (one coin per player, plus a time draw only
+    /// for crashers), and nothing is drawn when `crash_rate` is zero.
+    /// `crash_rate` is the probability of ever crashing; the crash time is
+    /// uniform over `[0, crash_window)`, which is what makes the effective
+    /// honest fraction α′ = α·(1 − crash_rate) once the window has passed.
+    pub(crate) fn draw(&mut self, plan: &FaultPlan, rng: &mut SmallRng, n_honest: u32) {
+        self.events.clear();
+        self.cursor = 0;
+        self.crashed.reset(n_honest as usize);
+        self.crashed_list.clear();
+        if plan.crash_rate <= 0.0 {
+            return;
+        }
+        for p in 0..n_honest {
+            if rng.gen::<f64>() < plan.crash_rate {
+                self.events.push((rng.gen_range(0..plan.crash_window), p));
+            }
+        }
+        self.events.sort_unstable();
+    }
+
+    /// Whether player `p` is crashed now.
+    pub(crate) fn is_crashed(&self, p: u32) -> bool {
+        self.crashed.contains(p as usize)
+    }
+
+    /// The crashed players, ascending.
+    pub(crate) fn crashed(&self) -> &[u32] {
+        &self.crashed_list
+    }
+
+    /// Applies the churn due at time `now` and reports each event to
+    /// `apply`, after the schedule's own state and `counters` have taken it.
+    ///
+    /// Crashes fire once their time is reached (`<=`, so events that fall
+    /// before a run's first tick still fire). Recovery is a per-tick
+    /// geometric draw: one coin per crashed player, in ascending order. The
+    /// crashed players are merged with the due events in player order, so
+    /// the coin and event sequence is that of a walk over every player, at
+    /// O(crashed + due).
+    // lint: hot
+    pub(crate) fn advance(
+        &mut self,
+        now: u64,
+        recovery: f64,
+        rng: &mut SmallRng,
+        counters: &mut FaultCounters,
+        mut apply: impl FnMut(Churn),
+    ) {
+        let start = self.cursor;
+        let mut end = start;
+        while end < self.events.len() && self.events[end].0 <= now {
+            end += 1;
+        }
+        self.cursor = end;
+        if end - start > 1 {
+            // A batch from a single tick is already player-sorted; one that
+            // spans several ticks (possible only on the first call of a run
+            // that starts past time 0) needs the player order restored.
+            self.events[start..end].sort_unstable_by_key(|&(_, p)| p);
+        }
+        if end == start && self.crashed_list.is_empty() {
+            return;
+        }
+        let mut next_list = std::mem::take(&mut self.scratch);
+        next_list.clear();
+        let mut ci = 0;
+        let mut di = start;
+        loop {
+            let next_crashed = self.crashed_list.get(ci).copied();
+            let next_due = (di < end).then(|| self.events[di].1);
+            let crash_now = match (next_crashed, next_due) {
+                (None, None) => break,
+                (Some(_), None) => false,
+                (None, Some(_)) => true,
+                (Some(c), Some(d)) => d < c,
+            };
+            if crash_now {
+                let p = self.events[di].1;
+                di += 1;
+                self.crashed.insert(p as usize);
+                counters.crashes += 1;
+                next_list.push(p);
+                apply(Churn::Crashed(p));
+            } else {
+                let p = self.crashed_list[ci];
+                ci += 1;
+                if recovery > 0.0 && rng.gen::<f64>() < recovery {
+                    self.crashed.remove(p as usize);
+                    counters.recoveries += 1;
+                    apply(Churn::Recovered(p));
+                } else {
+                    next_list.push(p);
+                }
+            }
+        }
+        std::mem::swap(&mut self.crashed_list, &mut next_list);
+        self.scratch = next_list;
     }
 }
 

@@ -22,7 +22,8 @@
 //!   oblivious / adaptive / strongly-adaptive information models;
 //! * [`Engine`] — the synchronous round loop, enforcing the billboard
 //!   integrity rules and collecting [`SimResult`] metrics;
-//! * [`run_trials`] — a deterministic, multi-threaded multi-trial runner.
+//! * [`run_trials_scoped`] — the deterministic, work-stealing multi-trial
+//!   runner, with one reusable state arena per worker thread.
 //!
 //! ## Example: random probing against a silent adversary
 //!
@@ -79,7 +80,7 @@ pub use error::SimError;
 pub use faults::{FaultCounters, FaultPlan};
 pub use metrics::{FinalEval, PlayerOutcome, ResultFold, SimResult};
 pub use object_model::ObjectModel;
-pub use runner::{run_trials, run_trials_scoped, run_trials_threaded};
+pub use runner::run_trials_scoped;
 pub use trace::{summarize, TraceEvent, TraceSummary};
 pub use world::{Probe, ValueDistribution, World, WorldBuilder};
 

@@ -2,49 +2,29 @@
 
 use std::sync::PoisonError;
 
-/// Runs `trials` independent simulations sequentially.
+/// Runs `trials` independent simulations on up to `threads` OS threads,
+/// each worker with its own state arena.
 ///
-/// `make` receives the trial index (use it to derive the per-trial seed, e.g.
-/// with [`rng::derive_seed`](crate::rng::derive_seed)) and returns that
-/// trial's result — typically a [`SimResult`](crate::metrics::SimResult) or a
-/// `Result<SimResult, SimError>` when the caller wants to surface engine
-/// errors per trial.
-pub fn run_trials<R, F>(trials: usize, make: F) -> Vec<R>
-where
-    F: Fn(u64) -> R,
-{
-    (0..trials as u64).map(make).collect()
-}
-
-/// Runs `trials` independent simulations on `threads` OS threads.
+/// `run(&mut state, t)` receives the trial index (use it to derive the
+/// per-trial seed) and returns that trial's result: typically a
+/// [`SimResult`](crate::metrics::SimResult), or a `Result` when the caller
+/// wants to surface engine errors per trial. Stateless callers pass
+/// `|| ()` as `init`.
 ///
 /// Work-stealing: workers pull the next trial index from a shared atomic
 /// counter, so an uneven trial-duration mix cannot idle a thread the way a
-/// static slot split would. Results are tagged with their trial index and
-/// sorted once at the end, so threaded and sequential runs of the same
-/// closure are byte-identical regardless of scheduling. `threads == 0` is
-/// treated as 1.
-pub fn run_trials_threaded<R, F>(trials: usize, threads: usize, make: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(u64) -> R + Sync,
-{
-    run_trials_scoped(trials, threads, || (), |(), t| make(t))
-}
-
-/// [`run_trials_threaded`] with a per-worker state arena.
-///
-/// Each worker thread calls `init` exactly once and threads the resulting
-/// state through every trial it steals — the intended use is reusing one
-/// [`Engine`](crate::engine::Engine) arena per worker (via
-/// [`Engine::reset`](crate::engine::Engine::reset)) instead of
-/// reconstructing board/tracker/RNG tables per trial. With `threads <= 1`
-/// this degenerates to a sequential loop over one state, no threads spawned.
+/// static slot split would. Each worker calls `init` exactly once and
+/// threads the resulting state through every trial it steals; the intended
+/// use is one [`Engine`](crate::engine::Engine) arena per worker, rewound
+/// with [`Engine::reset`](crate::engine::Engine::reset) instead of rebuilt.
+/// With `threads <= 1` this is a sequential loop over one state, and no
+/// thread is spawned.
 ///
 /// Determinism contract: `run(&mut state, t)` must depend only on `t`, never
 /// on which trials the state saw before (an engine freshly `reset` for trial
 /// `t` satisfies this; property-tested in `tests/engine_props.rs`). Results
-/// come back in trial order.
+/// are tagged with their trial index and come back in trial order, so any
+/// thread count gives byte-identical output.
 pub fn run_trials_scoped<R, S, I, F>(trials: usize, threads: usize, init: I, run: F) -> Vec<R>
 where
     R: Send,
@@ -111,33 +91,37 @@ mod tests {
         }
     }
 
+    fn fake_trials(trials: usize, threads: usize) -> Vec<SimResult> {
+        run_trials_scoped(trials, threads, || (), |(), t| fake_result(t * 3))
+    }
+
     #[test]
     fn sequential_preserves_order() {
-        let out = run_trials(5, |t| fake_result(t + 1));
-        let rounds: Vec<u64> = out.iter().map(|r| r.rounds).collect();
-        assert_eq!(rounds, vec![1, 2, 3, 4, 5]);
+        let rounds: Vec<u64> = fake_trials(5, 1).iter().map(|r| r.rounds).collect();
+        assert_eq!(rounds, vec![0, 3, 6, 9, 12]);
     }
 
     #[test]
     fn threaded_matches_sequential() {
-        let seq = run_trials(16, |t| fake_result(t * 3));
-        let par = run_trials_threaded(16, 4, |t| fake_result(t * 3));
-        let a: Vec<u64> = seq.iter().map(|r| r.rounds).collect();
-        let b: Vec<u64> = par.iter().map(|r| r.rounds).collect();
-        assert_eq!(a, b);
+        assert_eq!(fake_trials(16, 1), fake_trials(16, 4));
     }
 
     #[test]
     fn generic_return_types_are_supported() {
-        // The runners are generic over the trial result, so fallible engines
+        // The runner is generic over the trial result, so fallible engines
         // can return Result per trial without unwrapping inside the closure.
-        let out: Vec<Result<u64, String>> = run_trials_threaded(8, 4, |t| {
-            if t % 2 == 0 {
-                Ok(t)
-            } else {
-                Err(format!("{t}"))
-            }
-        });
+        let out: Vec<Result<u64, String>> = run_trials_scoped(
+            8,
+            4,
+            || (),
+            |(), t| {
+                if t % 2 == 0 {
+                    Ok(t)
+                } else {
+                    Err(format!("{t}"))
+                }
+            },
+        );
         assert_eq!(out.iter().filter(|r| r.is_ok()).count(), 4);
         assert_eq!(out[3], Err("3".to_string()));
     }
@@ -171,8 +155,8 @@ mod tests {
 
     #[test]
     fn degenerate_thread_counts() {
-        assert_eq!(run_trials_threaded(3, 0, fake_result).len(), 3);
-        assert_eq!(run_trials_threaded(0, 8, fake_result).len(), 0);
-        assert_eq!(run_trials_threaded(2, 100, fake_result).len(), 2);
+        assert_eq!(fake_trials(3, 0).len(), 3);
+        assert_eq!(fake_trials(0, 8).len(), 0);
+        assert_eq!(fake_trials(2, 100).len(), 2);
     }
 }

@@ -62,6 +62,10 @@ impl Counts {
 }
 
 /// Escapes a string for inclusion in a JSON document.
+///
+/// The same escaping as `distill_harness::quarantine::escape_json`, kept as
+/// a copy on purpose: `distill-lint` depends on nothing but the standard
+/// library, so it can lint a workspace that does not build.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {

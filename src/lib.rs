@@ -83,9 +83,9 @@ pub mod prelude {
         BillboardService, Draft, EpochReader, EpochSnapshot, ServiceConfig, StressConfig,
     };
     pub use distill_sim::{
-        run_trials, run_trials_scoped, run_trials_threaded, Adversary, CandidateSet, Cohort,
-        Directive, Engine, FaultCounters, FaultPlan, InfoModel, ObjectModel, PhaseInfo,
-        ServicePlan, SimConfig, SimResult, StopRule, World, WorldBuilder,
+        run_trials_scoped, Adversary, CandidateSet, Cohort, Directive, Engine, FaultCounters,
+        FaultPlan, InfoModel, ObjectModel, PhaseInfo, ServicePlan, SimConfig, SimResult, StopRule,
+        World, WorldBuilder,
     };
 }
 

@@ -67,8 +67,8 @@ fn different_world_seed_diverges() {
 
 #[test]
 fn threaded_runner_matches_sequential() {
-    let seq = run_trials(8, |t| run_once(100 + t, t));
-    let par = run_trials_threaded(8, 4, |t| run_once(100 + t, t));
+    let seq: Vec<SimResult> = (0..8).map(|t| run_once(100 + t, t)).collect();
+    let par = run_trials_scoped(8, 4, || (), |(), t| run_once(100 + t, t));
     for (a, b) in seq.iter().zip(&par) {
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.mean_probes(), b.mean_probes());

@@ -138,8 +138,8 @@ proptest! {
         prop_assert_eq!(incremental, scan);
     }
 
-    /// `run_trials_threaded` returns byte-identical results to `run_trials`
-    /// on real engine executions, independent of thread count (the
+    /// `run_trials_scoped` returns byte-identical results to a sequential
+    /// loop on real engine executions, independent of thread count (the
     /// work-stealing counter changes which worker runs which trial, never
     /// what a trial computes or where it lands in the output).
     #[test]
@@ -149,8 +149,8 @@ proptest! {
             s.seed = s.seed.wrapping_add(t);
             run(&s, 50_000)
         };
-        let sequential = run_trials(4, trial);
-        let threaded = run_trials_threaded(4, threads, trial);
+        let sequential: Vec<SimResult> = (0..4).map(trial).collect();
+        let threaded = run_trials_scoped(4, threads, || (), |(), t| trial(t));
         prop_assert_eq!(sequential, threaded);
     }
 
@@ -219,17 +219,19 @@ proptest! {
         };
         let trial_seed = |t: u64| s.seed.wrapping_add(t);
 
-        let fresh: Vec<SimResult> = run_trials(6, |t| {
-            Engine::new(
-                config_with(trial_seed(t)),
-                &world,
-                Box::new(Distill::new(params)),
-                make_adversary(s.adversary),
-            )
-            .expect("engine")
-            .run()
-            .unwrap()
-        });
+        let fresh: Vec<SimResult> = (0..6)
+            .map(|t| {
+                Engine::new(
+                    config_with(trial_seed(t)),
+                    &world,
+                    Box::new(Distill::new(params)),
+                    make_adversary(s.adversary),
+                )
+                .expect("engine")
+                .run()
+                .unwrap()
+            })
+            .collect();
         let reused: Vec<SimResult> = run_trials_scoped(
             6,
             threads,
@@ -272,9 +274,9 @@ proptest! {
             s.seed = s.seed.wrapping_add(t);
             run(&s, 50_000)
         };
-        let sequential = run_trials(8, trial);
+        let sequential: Vec<SimResult> = (0..8).map(trial).collect();
         for threads in [1usize, 2, 3, 8] {
-            prop_assert_eq!(&sequential, &run_trials_threaded(8, threads, trial));
+            prop_assert_eq!(&sequential, &run_trials_scoped(8, threads, || (), |(), t| trial(t)));
         }
     }
 
@@ -353,7 +355,7 @@ proptest! {
                 .run()
                 .unwrap()
             };
-            run_trials_threaded(3, threads, trial)
+            run_trials_scoped(3, threads, || (), |(), t| trial(t))
         };
         let incremental = run_path(true);
         let scan = run_path(false);
